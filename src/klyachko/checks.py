@@ -1,28 +1,23 @@
 """Randomized cross-validation of the diagram pipelines against brute force.
 
-numpy lives here and only here.  The set identities behind the package are
-checked pointwise on windows of a few thousand lattice points per cone,
-which vectorizes well as exact small-integer comparisons; everything the
-library itself computes stays in arbitrary-precision Python integers.
-
-Windows are finite, so the checks are evidence rather than proofs; sizes
-follow the data (membership windows extend a couple of steps past the
-largest generator exponent, Hilbert degrees cover the generator classes
-padded by a couple of steps in every class coordinate).
+The region identities behind the package are decided exactly in the
+region algebra: two regions agree when both differences ``a - b`` and
+``b - a`` are empty, so every check is a proof over all of ``M``, not
+evidence on a finite window.  When two regions disagree, the witness is a
+corner of the first cell of a nonempty difference, given in the cone's
+pairing coordinates and, on maximal cones, as a character.  The Hilbert
+check compares values on the generator classes padded by a couple of steps
+in every class coordinate.
 """
 
 import random
 
-import numpy as np
-
-from .diagram import compute_diagram
+from .diagram import compute_diagram, gaps_by_definition, support_region
 from .hilbert import hilbert_value
 from .linalg import solve_integer
 from .monomials import MonomialIdeal, degree_window, hilbert_oracle, saturate_oracle
 from .reconstruction import reconstruct_generators
 from .toric import compute_grading
-
-_GRIDS = {}
 
 
 def random_ideal(rng, nvars, max_gens=5, max_exp=5):
@@ -33,75 +28,55 @@ def random_ideal(rng, nvars, max_gens=5, max_exp=5):
     return MonomialIdeal(gens, nvars=nvars)
 
 
-def default_window(*ideals):
-    """Window half-width: two past the largest exponent in sight."""
-    biggest = 0
-    for ideal in ideals:
-        for g in ideal.gens:
-            biggest = max(biggest, max(g, default=0))
-    return biggest + 2
+def _difference(a, b):
+    """The first cell of ``a - b`` or of ``b - a``; None if the regions agree."""
+    if a.cells == b.cells:
+        # regions are stored pruned and sorted, so this is the common case
+        return None
+    for rest in (a - b, b - a):
+        if rest.cells:
+            return rest.cells[0]
+    return None
 
 
-def _grids(ndim, width):
-    key = (ndim, width)
-    if key not in _GRIDS:
-        side = 2 * width + 1
-        axes = np.indices((side,) * ndim) - width
-        _GRIDS[key] = [axes[i] for i in range(ndim)]
-    return _GRIDS[key]
+def _witness(fan, a, b):
+    """Where two regions over one cone differ, or None if they agree.
+
+    The witness is a corner of a difference cell: pairings and, on maximal
+    cones, the character m.
+    """
+    cell = _difference(a, b)
+    if cell is None:
+        return None
+    y = []
+    for ray in a.cone:
+        lo, hi = cell.interval(ray)
+        y.append(lo if lo is not None else hi if hi is not None else 0)
+    y = tuple(y)
+    if len(a.cone) == fan.dim:
+        m = tuple(solve_integer(fan.cone_matrix(a.cone), list(y)))
+        return f"pairings {y} (character {m})"
+    return f"pairings {y}"
 
 
-def _region_mask(region, cone, grids):
-    """Boolean window mask of a region, in the cone's pairing coordinates."""
-    pos = {ray: j for j, ray in enumerate(cone)}
-    mask = np.zeros(grids[0].shape, dtype=bool)
-    for cell in region.cells:
-        keep = np.ones(grids[0].shape, dtype=bool)
-        for ray, (lo, hi) in cell.bounds:
-            g = grids[pos[ray]]
-            if lo is not None:
-                keep &= g >= lo
-            if hi is not None:
-                keep &= g <= hi
-        mask |= keep
-    return mask
-
-
-def _witness_character(fan, cone, index, width):
-    """Map a window index back to pairings and, on maximal cones, to m."""
-    y = [int(v) - width for v in index]
-    if len(cone) == fan.dim:
-        m = tuple(solve_integer(fan.cone_matrix(cone), y))
-        return f"pairings {tuple(y)} (character {m})"
-    return f"pairings {tuple(y)}"
-
-
-def check_membership_identity(fan, ideal, diag=None, width=None):
+def check_membership_identity(fan, ideal, diag=None):
     """Computed filtration membership == union of the generators' orthants.
 
+    On every cone the computed support must be the orthant of the exponent
+    floor and the computed gaps the support minus the generators' orthants.
     Returns None on success, a witness message on the first discrepancy.
     """
     if diag is None:
         diag = compute_diagram(fan, ideal)
-    if width is None:
-        width = default_window(ideal)
+    s = ideal.min_exponents()
     for cone in fan.cones:
         if not cone:
             continue
-        grids = _grids(len(cone), width)
-        direct = np.zeros(grids[0].shape, dtype=bool)
-        for g in ideal.gens:
-            keep = np.ones(grids[0].shape, dtype=bool)
-            for j, ray in enumerate(cone):
-                keep &= grids[j] >= g[ray]
-            direct |= keep
-        support = _region_mask(diag.support(cone), cone, grids)
-        gaps = _region_mask(diag.gaps(cone), cone, grids)
-        member = support & ~gaps
-        if not np.array_equal(direct, member):
-            index = np.argwhere(direct != member)[0]
-            spot = _witness_character(fan, cone, index, width)
-            return f"cone {cone}: membership differs at {spot}"
+        for mine, truth in ((diag.gaps(cone), gaps_by_definition(fan, ideal, cone)),
+                            (diag.support(cone), support_region(fan, s, cone))):
+            spot = _witness(fan, mine, truth)
+            if spot is not None:
+                return f"cone {cone}: membership differs at {spot}"
     return None
 
 
@@ -136,8 +111,8 @@ def check_hilbert(fan, grading, ideal, diag=None, pad=None):
     return None
 
 
-def check_saturation_invariance(fan, ideal, diag=None, width=None):
-    """Diagram of I == diagram of its saturation, pointwise on the window."""
+def check_saturation_invariance(fan, ideal, diag=None):
+    """Diagram of I == diagram of its saturation, as sets of characters."""
     sat = saturate_oracle(ideal, fan)
     if diag is None:
         diag = compute_diagram(fan, ideal)
@@ -145,38 +120,27 @@ def check_saturation_invariance(fan, ideal, diag=None, width=None):
     if diag.min_exponents != diag_sat.min_exponents:
         return (f"exponent floors differ: {diag.min_exponents} vs "
                 f"{diag_sat.min_exponents}")
-    if width is None:
-        width = default_window(ideal, sat)
     for cone in fan.cones:
         if not cone:
             continue
-        grids = _grids(len(cone), width)
         for part in ("support", "gaps"):
-            mine = _region_mask(getattr(diag, part)(cone), cone, grids)
-            theirs = _region_mask(getattr(diag_sat, part)(cone), cone, grids)
-            if not np.array_equal(mine, theirs):
-                index = np.argwhere(mine != theirs)[0]
-                spot = _witness_character(fan, cone, index, width)
+            spot = _witness(fan, getattr(diag, part)(cone),
+                            getattr(diag_sat, part)(cone))
+            if spot is not None:
                 return f"cone {cone}: {part} regions differ at {spot}"
     return None
 
 
-def check_tie_order(fan, ideal, diag=None, width=None):
+def check_tie_order(fan, ideal, diag=None):
     """Gap sets must not depend on how equal generator levels are ordered."""
     if diag is None:
         diag = compute_diagram(fan, ideal)
     other = compute_diagram(fan, ideal, tie_reverse=True)
-    if width is None:
-        width = default_window(ideal)
     for cone in fan.cones:
         if not cone:
             continue
-        grids = _grids(len(cone), width)
-        mine = _region_mask(diag.gaps(cone), cone, grids)
-        theirs = _region_mask(other.gaps(cone), cone, grids)
-        if not np.array_equal(mine, theirs):
-            index = np.argwhere(mine != theirs)[0]
-            spot = _witness_character(fan, cone, index, width)
+        spot = _witness(fan, diag.gaps(cone), other.gaps(cone))
+        if spot is not None:
             return f"cone {cone}: gap sets disagree at {spot}"
     return None
 
@@ -184,26 +148,26 @@ def check_tie_order(fan, ideal, diag=None, width=None):
 PROPERTY_NAMES = ("membership", "roundtrip", "hilbert", "saturation", "ties")
 
 
-def check_ideal(fan, grading, ideal, width=None):
+def check_ideal(fan, grading, ideal):
     """All five properties on one ideal; dict of property -> witness or None."""
     diag = compute_diagram(fan, ideal)
     return {
-        "membership": check_membership_identity(fan, ideal, diag, width),
+        "membership": check_membership_identity(fan, ideal, diag),
         "roundtrip": check_roundtrip(fan, grading, ideal, diag),
         "hilbert": check_hilbert(fan, grading, ideal, diag),
-        "saturation": check_saturation_invariance(fan, ideal, diag, width),
-        "ties": check_tie_order(fan, ideal, diag, width),
+        "saturation": check_saturation_invariance(fan, ideal, diag),
+        "ties": check_tie_order(fan, ideal, diag),
     }
 
 
-def run_suite(fan, seed=0, count=100, max_gens=5, max_exp=5, width=None):
+def run_suite(fan, seed=0, count=100, max_gens=5, max_exp=5):
     """Seeded random-ideal suite; returns a JSON-ready report dict."""
     rng = random.Random(seed)
     grading = compute_grading(fan)
     failures = {name: [] for name in PROPERTY_NAMES}
     for case in range(count):
         ideal = random_ideal(rng, fan.nrays, max_gens=max_gens, max_exp=max_exp)
-        outcome = check_ideal(fan, grading, ideal, width)
+        outcome = check_ideal(fan, grading, ideal)
         for name in PROPERTY_NAMES:
             if outcome[name] is not None:
                 failures[name].append(

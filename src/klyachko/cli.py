@@ -11,7 +11,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass, field
 
 from .checks import check_ideal, run_suite
 from .diagram import KlyachkoDiagram, compute_diagram, sum_diagram
@@ -23,20 +22,6 @@ from .render import ascii_diagram, svg_diagram
 from .toric import compute_grading, load_fan
 
 _RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
-
-
-@dataclass
-class Job:
-    """Validated inputs of one CLI invocation."""
-
-    fan: object
-    grading: object
-    ideals: list = field(default_factory=list)
-    diagram: object = None
-    degrees: list = None
-    box: list = None
-    window: int = None
-    out: str = None
 
 
 def _read_json(path):
@@ -73,8 +58,8 @@ def _degrees_from_ranges(ranges):
     return degrees
 
 
-def _window_value(args):
-    if getattr(args, "window", None) is not None:
+def _render_radius(args):
+    if args.window is not None:
         return args.window
     env = os.environ.get("KLYACHKO_WINDOW")
     if env is not None:
@@ -122,7 +107,7 @@ def cmd_diagram(args):
     diag = compute_diagram(fan, ideal)
     _emit(diag.to_json(), args.out)
     if args.render:
-        sys.stderr.write(ascii_diagram(fan, diag, radius=_window_value(args)))
+        sys.stderr.write(ascii_diagram(fan, diag, radius=_render_radius(args)))
     return 0
 
 
@@ -181,11 +166,10 @@ def cmd_sum(args):
 
 def cmd_check(args):
     fan = load_fan(args.fan)
-    width = _window_value(args)
     if args.ideal:
         grading = compute_grading(fan)
         ideal = _load_ideal(args.ideal, fan)
-        outcome = check_ideal(fan, grading, ideal, width=width)
+        outcome = check_ideal(fan, grading, ideal)
         report = {
             "fan": fan.name or "custom",
             "cases": 1,
@@ -200,7 +184,7 @@ def cmd_check(args):
             ],
         }
     else:
-        report = run_suite(fan, seed=args.seed, count=args.random, width=width)
+        report = run_suite(fan, seed=args.seed, count=args.random)
     failed = False
     for prop in report["properties"]:
         if prop["status"] == "pass":
@@ -219,7 +203,7 @@ def cmd_render(args):
     ideal, diag = _load_ideal_or_diagram(args.input, fan)
     if diag is None:
         diag = compute_diagram(fan, ideal)
-    radius = _window_value(args)
+    radius = _render_radius(args)
     if args.out and args.out.lower().endswith(".svg"):
         _write_text(svg_diagram(fan, diag, radius=radius), args.out)
     else:
@@ -227,13 +211,12 @@ def cmd_render(args):
     return 0
 
 
-def _add_common(sub, window=True, out=True):
+def _add_common(sub, window=True):
     if window:
         sub.add_argument("--window", type=int, default=None,
-                         help="half-width of check/render windows "
+                         help="half-width of the rendered window "
                               "(default: size-derived; env KLYACHKO_WINDOW)")
-    if out:
-        sub.add_argument("--out", default=None, help="write output to a file")
+    sub.add_argument("--out", default=None, help="write output to a file")
 
 
 def build_parser():
@@ -288,7 +271,7 @@ def build_parser():
     p.add_argument("--random", type=int, default=100, metavar="N",
                    help="number of random ideals (default 100)")
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    _add_common(p, window=False)
     p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("render", help="staircase picture (dim 2 only)")

@@ -10,7 +10,7 @@ rest of the package exploits.
 
 from collections import namedtuple
 
-from .errors import InputError
+from .errors import InputError, json_int
 from .regions import Cell, LatticeRegion
 from .toric import tau_for_cone
 
@@ -72,17 +72,27 @@ class KlyachkoDiagram:
     @classmethod
     def from_json(cls, fan, obj):
         try:
-            s = obj["s"]
+            s = [json_int(x, "exponent floor entry") for x in obj["s"]]
             raw = obj["cones"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed diagram data: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise InputError("malformed diagram data: \"cones\" is not an object")
         entries = {}
         for key, val in raw.items():
-            cone = tuple(int(p) for p in key.split(",")) if key else ()
+            try:
+                cone = tuple(int(p) for p in key.split(",")) if key else ()
+                support, gaps = val["support"], val["gaps"]
+            except (KeyError, TypeError, ValueError) as exc:
+                raise InputError(f"malformed diagram cone {key!r}: {exc}") from exc
             if cone not in fan.cones:
                 raise InputError(f"diagram refers to a cone {cone} not in the fan")
-            entries[cone] = ConeEntry(LatticeRegion.from_json(val["support"]),
-                                      LatticeRegion.from_json(val["gaps"]))
+            regions = [LatticeRegion.from_json(support), LatticeRegion.from_json(gaps)]
+            for region in regions:
+                if region.cone != cone:
+                    raise InputError(f"diagram cone {key!r} holds a region "
+                                     f"over cone {region.cone}")
+            entries[cone] = ConeEntry(*regions)
         return cls(fan, s, entries)
 
 
@@ -152,13 +162,6 @@ def compute_diagram(fan, ideal, tie_reverse=False):
     return KlyachkoDiagram(fan, s, entries)
 
 
-def generator_region(fan, cone, exponents):
-    """{m : <m, rho> >= exponents[rho] on the cone}: one generator's shadow."""
-    if not cone:
-        return LatticeRegion.full(())
-    return LatticeRegion.orthant(cone, {ray: exponents[ray] for ray in cone})
-
-
 def gaps_by_definition(fan, ideal, cone):
     """Gap set computed straight from the definition, for cross-checking.
 
@@ -167,7 +170,7 @@ def gaps_by_definition(fan, ideal, cone):
     s = ideal.min_exponents()
     region = support_region(fan, s, cone)
     for g in ideal.gens:
-        region = region - generator_region(fan, cone, g)
+        region = region - support_region(fan, g, cone)
     return region
 
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the strict JSON integer."""
 
 
 class KlyachkoError(Exception):
@@ -19,3 +19,10 @@ class InfiniteRegionError(KlyachkoError):
     def __init__(self, message, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+def json_int(value, what):
+    """An integer read from JSON; bools, floats and strings are refused."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return value

@@ -37,10 +37,6 @@ def matmul(A, B):
             for i in range(rows)]
 
 
-def matvec(A, v):
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
-
-
 def dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 

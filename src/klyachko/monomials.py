@@ -8,7 +8,7 @@ checked against each other.
 
 import itertools
 
-from .errors import InputError
+from .errors import InputError, json_int
 from .lattice import UnboundedRegionError, enumerate_lattice_points
 
 
@@ -98,7 +98,9 @@ class MonomialIdeal:
             gens = obj["gens"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed ideal data: {exc}") from exc
-        return cls(gens, nvars=nvars)
+        if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
+            raise InputError("malformed ideal data: \"gens\" must be a list of lists")
+        return cls([[json_int(e, "exponent") for e in g] for g in gens], nvars=nvars)
 
 
 def colon_var_saturate(ideal, var):
@@ -119,11 +121,6 @@ def ideal_intersect(a, b):
 
 def ideal_sum(a, b):
     return MonomialIdeal(list(a.gens) + list(b.gens), nvars=a.nvars)
-
-
-def multiply_by_monomial(ideal, exps):
-    gens = [tuple(x + y for x, y in zip(g, exps)) for g in ideal.gens]
-    return MonomialIdeal(gens, nvars=ideal.nvars)
 
 
 def saturate_oracle(ideal, fan):

@@ -9,7 +9,7 @@ half-spaces show up when differences are taken, so the algebra has to be
 closed under that.
 """
 
-from .errors import InfiniteRegionError, InputError
+from .errors import InfiniteRegionError, InputError, json_int
 from .lattice import UnboundedRegionError, enumerate_lattice_points
 from .linalg import solve_integer
 
@@ -139,10 +139,17 @@ class Cell:
 
     @classmethod
     def from_json(cls, obj):
-        try:
-            return cls({int(k): (v[0], v[1]) for k, v in obj.items()})
-        except (ValueError, TypeError, IndexError) as exc:
-            raise InputError(f"malformed cell data: {exc}") from exc
+        if not isinstance(obj, dict):
+            raise InputError(f"malformed cell data: {obj!r}")
+        bounds = {}
+        for key, iv in obj.items():
+            if not (key.isascii() and key.isdigit()):
+                raise InputError(f"malformed cell data: ray {key!r}")
+            if not isinstance(iv, list) or len(iv) != 2:
+                raise InputError(f"malformed cell data: interval {iv!r}")
+            bounds[int(key)] = tuple(None if v is None else json_int(v, "cell bound")
+                                     for v in iv)
+        return cls(bounds)
 
 
 def _prune(cells):
@@ -266,9 +273,15 @@ class LatticeRegion:
     @classmethod
     def from_json(cls, obj):
         try:
-            return cls(tuple(obj["cone"]), [Cell.from_json(c) for c in obj["cells"]])
+            cone = tuple(json_int(ray, "cone ray") for ray in obj["cone"])
+            cells = [Cell.from_json(c) for c in obj["cells"]]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed region data: {exc}") from exc
+        for cell in cells:
+            if not set(cell.rays()) <= set(cone):
+                raise InputError(f"cell {cell!r} constrains a ray outside "
+                                 f"the cone {cone}")
+        return cls(cone, cells)
 
     def __repr__(self):
         return f"LatticeRegion(cone={self.cone}, cells={list(self.cells)})"

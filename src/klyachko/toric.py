@@ -18,7 +18,6 @@ import re
 
 from . import linalg
 from .errors import InputError
-from .lattice import enumerate_lattice_points
 
 
 class Fan:
@@ -64,12 +63,6 @@ class Fan:
         problems = self.validate()
         if problems:
             raise InputError("invalid fan: " + "; ".join(problems))
-
-    @property
-    def grading(self):
-        if not hasattr(self, "_grading"):
-            self._grading = compute_grading(self)
-        return self._grading
 
     def to_json(self):
         return {"dim": self.dim,
@@ -212,19 +205,6 @@ def compute_grading(fan):
     return CoxGrading(fan, deg, basis_rays)
 
 
-def irrelevant_generators(fan):
-    """Exponent vectors of the irrelevant ideal's generators, one per cone.
-
-    The generator for a maximal cone is the product of the variables whose
-    rays are outside the cone.
-    """
-    gens = []
-    for cone in fan.max_cones:
-        outside = set(range(fan.nrays)) - set(cone)
-        gens.append(tuple(1 if i in outside else 0 for i in range(fan.nrays)))
-    return sorted(set(gens))
-
-
 def tau_for_cone(fan, cone, divisor):
     """The unique character pairing to divisor[rho] on every ray of the cone.
 
@@ -241,20 +221,6 @@ def tau_for_cone(fan, cone, divisor):
     B = fan.cone_matrix(cone)
     a = [int(divisor[i]) for i in cone]
     return tuple(linalg.solve_integer(B, a))
-
-
-def window_points(fan, width):
-    """Characters m with |<m, n(rho)>| <= width for every ray, sorted."""
-    cache = getattr(fan, "_window_cache", None)
-    if cache is None:
-        cache = fan._window_cache = {}
-    if width not in cache:
-        rows = []
-        for ray in fan.rays:
-            rows.append((tuple(ray), -width))
-            rows.append((tuple(-x for x in ray), -width))
-        cache[width] = enumerate_lattice_points(rows, fan.dim)
-    return cache[width]
 
 
 def projective_space(n):

@@ -4,7 +4,7 @@ from klyachko import MonomialIdeal, compute_diagram
 from klyachko.checks import (PROPERTY_NAMES, check_hilbert, check_ideal,
                              check_membership_identity, check_roundtrip,
                              check_saturation_invariance, check_tie_order,
-                             default_window, random_ideal, run_suite)
+                             random_ideal, run_suite)
 from klyachko.diagram import ConeEntry
 from klyachko.regions import Cell, LatticeRegion
 
@@ -19,12 +19,6 @@ def test_random_ideal_seeded():
     assert a.nvars == 3
     for g in random_ideal(random.Random(1), 4, max_exp=2).gens:
         assert all(0 <= e <= 2 for e in g)
-
-
-def test_default_window():
-    assert default_window(MonomialIdeal([(0, 4, 1)])) == 6
-    assert default_window(MonomialIdeal([(1, 0)]), MonomialIdeal([(0, 3)])) == 5
-    assert default_window(MonomialIdeal([], nvars=2)) == 2
 
 
 def test_all_checks_pass_on_good_ideal(p2, p2_grading):
@@ -47,6 +41,30 @@ def test_membership_check_catches_tampering(p2):
     message = check_membership_identity(p2, ideal, broken)
     assert message is not None and "cone (1, 2)" in message
     assert "character" in message
+
+
+def test_far_away_gap_cell_is_caught(p2):
+    # a gap cell far outside any window sized by the generator exponents
+    ideal = MonomialIdeal(GOOD)
+    gaps = compute_diagram(p2, ideal).gaps((1, 2))
+    far = gaps | LatticeRegion((1, 2), [Cell({1: (40, 40), 2: (40, 40)})])
+    broken = tampered_diagram(p2, ideal, (1, 2), far)
+    message = check_membership_identity(p2, ideal, broken)
+    assert message is not None and "cone (1, 2)" in message
+    assert "pairings (40, 40) (character (40, 40))" in message
+    message = check_saturation_invariance(p2, ideal, broken)
+    assert message is not None and "gaps regions differ at pairings (40, 40)" in message
+
+
+def test_membership_check_catches_support_tampering(p2):
+    ideal = MonomialIdeal(GOOD)
+    broken = compute_diagram(p2, ideal)
+    entry = broken.entries[(0, 1)]
+    shifted = LatticeRegion.orthant((0, 1), {0: 0, 1: -1})
+    broken.entries[(0, 1)] = ConeEntry(shifted, entry.gaps)
+    message = check_membership_identity(p2, ideal, broken)
+    assert message is not None and "cone (0, 1): membership differs at" in message
+    assert "pairings (0, -1)" in message
 
 
 def test_saturation_check_catches_tampering(p2):
@@ -92,7 +110,7 @@ def test_run_suite_structure(p2):
 def test_run_suite_reports_failures(p2, monkeypatch):
     import klyachko.checks as checks
 
-    def always_wrong(fan, ideal, diag=None, width=None):
+    def always_wrong(fan, ideal, diag=None):
         return "forced witness"
 
     monkeypatch.setattr(checks, "check_tie_order", always_wrong)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -123,7 +127,7 @@ def test_check_random_suite(capsys):
 def test_check_failure_exit_code(capsys, monkeypatch, files):
     import klyachko.cli as cli
 
-    def fake_suite(fan, seed=0, count=100, width=None):
+    def fake_suite(fan, seed=0, count=100):
         return {"fan": "P2", "cases": count, "seed": seed,
                 "properties": [{"name": "membership", "status": "fail",
                                 "failures": [{"case": 0, "gens": [[1, 0, 0]],
@@ -197,8 +201,49 @@ def test_zero_ideal_exit_code(capsys, files):
 def test_bad_window_env_exit_code(capsys, files, monkeypatch):
     monkeypatch.setenv("KLYACHKO_WINDOW", "wide")
     path = files("ex.json", {"gens": EX_GENS})
-    rc = main(["check", "P2", path])
+    rc = main(["render", "P2", path])
     assert rc == 2
+    assert "KLYACHKO_WINDOW" in capsys.readouterr().err
+
+
+def test_check_rejects_window_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["check", "P2", "--window", "3"])
+    assert err.value.code == 2
+    assert "--window" in capsys.readouterr().err
+
+
+def test_hostile_json_exit_code(capsys, files, p2):
+    blob = compute_diagram(p2, MonomialIdeal(EX_GENS)).to_json()
+    far_ray = json.loads(json.dumps(blob))
+    far_ray["cones"]["1,2"]["gaps"]["cells"] = [{"7": [0, 0]}]
+    wrong_cone = json.loads(json.dumps(blob))
+    wrong_cone["cones"]["1,2"]["gaps"] = {"cone": [0, 1], "cells": []}
+    float_floor = dict(blob, s=[0, 0.5, 0])
+    inputs = {
+        "string exponent": {"gens": [[0, "x", 2]]},
+        "gens not a list": {"gens": 5},
+        "float exponent": {"gens": [[0, 1.7, 2]]},
+        "bool exponent": {"gens": [[0, True, 2]]},
+        "cell ray outside the cone": far_ray,
+        "region cone differs from its key": wrong_cone,
+        "float exponent floor": float_floor,
+    }
+    for label, payload in inputs.items():
+        path = files("hostile.json", payload)
+        rc = main(["saturate", "P2", path])
+        captured = capsys.readouterr()
+        assert rc == 2, label
+        assert "error:" in captured.err, label
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import klyachko.cli, sys; assert 'numpy' not in sys.modules"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_repeated_runs_are_identical(capsys, files):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from klyachko.linalg import (det, dot, identity, invert_unimodular, matmul,
-                             matvec, smith_normal_form, solve_integer, xgcd)
+                             smith_normal_form, solve_integer, xgcd)
 
 
 def test_xgcd_basic():
@@ -27,7 +27,6 @@ def test_xgcd_random():
 
 def test_dot_matvec_matmul():
     assert dot((1, 2, 3), (4, 5, 6)) == 32
-    assert matvec([[1, 0], [2, 3]], (5, 7)) == [5, 31]
     assert matmul([[1, 2]], [[3], [4]]) == [[11]]
     assert identity(3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 

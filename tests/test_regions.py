@@ -8,25 +8,29 @@ from klyachko import (Cell, InfiniteRegionError, InputError, LatticeRegion,
                       region_points)
 
 CONE = (0, 1)
-WINDOW = list(itertools.product(range(-4, 7), repeat=2))
+# Random bounds lie in [-3, 6] and differences move them by one, so every
+# nonempty cell below has a corner in [-4, 7] on each ray: two regions
+# agree on this window exactly when they are the same set.
+SPAN = range(-4, 8)
 
 
 def members(region):
-    return {y for y in WINDOW if region.contains_values({0: y[0], 1: y[1]})}
+    return {y for y in itertools.product(SPAN, repeat=len(region.cone))
+            if region.contains_values(dict(zip(region.cone, y)))}
 
 
-def random_region(rng, max_cells=3):
+def random_region(rng, cone=CONE, max_cells=3):
     cells = []
     for _ in range(rng.randint(0, max_cells)):
         bounds = {}
-        for ray in CONE:
+        for ray in cone:
             if rng.random() < 0.3:
                 continue
             lo = rng.choice([None, rng.randint(-3, 4)])
             hi = rng.choice([None, rng.randint(-3, 6)])
             bounds[ray] = (lo, hi)
         cells.append(Cell(bounds))
-    return LatticeRegion(CONE, cells)
+    return LatticeRegion(cone, cells)
 
 
 def test_cell_normalization():
@@ -48,11 +52,16 @@ def test_cell_contains_values():
 
 def test_region_set_operations_match_pointwise():
     rng = random.Random(23)
-    for _ in range(120):
-        a, b = random_region(rng), random_region(rng)
-        assert members(a & b) == members(a) & members(b)
-        assert members(a | b) == members(a) | members(b)
-        assert members(a - b) == members(a) - members(b)
+    for cone, rounds in ((CONE, 120), ((0, 1, 2), 40)):
+        for _ in range(rounds):
+            a, b = random_region(rng, cone), random_region(rng, cone)
+            ma, mb = members(a), members(b)
+            assert members(a & b) == ma & mb
+            assert members(a | b) == ma | mb
+            assert members(a - b) == ma - mb
+            assert a.equivalent(b) == (ma == mb)
+            rebuilt = (a - b) | (a & b)
+            assert rebuilt.equivalent(a) == (members(rebuilt) == ma)
 
 
 def test_region_difference_unbounded_below():
@@ -60,7 +69,8 @@ def test_region_difference_unbounded_below():
     full = LatticeRegion.full(CONE)
     strip = LatticeRegion(CONE, [Cell({0: (1, None)})])
     rest = full - strip
-    assert members(rest) == {y for y in WINDOW if y[0] <= 0}
+    assert members(rest) == {y for y in itertools.product(SPAN, repeat=2)
+                             if y[0] <= 0}
 
 
 def test_empty_cells_are_dropped():

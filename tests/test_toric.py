@@ -5,7 +5,7 @@ import pytest
 from klyachko import (Fan, InputError, compute_grading, hirzebruch, load_fan,
                       named_fan, product_of_projective_spaces,
                       projective_space, validate_fan)
-from klyachko.toric import irrelevant_generators, tau_for_cone, window_points
+from klyachko.toric import tau_for_cone
 
 
 def test_projective_plane_shape(p2):
@@ -77,12 +77,6 @@ def test_validate_fan_rejects_bad_input():
     assert any("coincide" in msg for msg in validate_fan(fan))
 
 
-def test_irrelevant_generators(p2, h3):
-    assert irrelevant_generators(p2) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
-    assert irrelevant_generators(h3) == [(0, 1, 0, 1), (0, 1, 1, 0),
-                                         (1, 0, 0, 1), (1, 0, 1, 0)]
-
-
 def test_tau_for_cone(p2):
     # on the cone spanned by e1, e2 the pairings are the coordinates
     assert tau_for_cone(p2, (1, 2), (7, 2, -3)) == (2, -3)
@@ -90,13 +84,6 @@ def test_tau_for_cone(p2):
     assert p2.pairing(tau, 0) == 5 and p2.pairing(tau, 2) == 1
     with pytest.raises(InputError):
         tau_for_cone(p2, (1,), (0, 0, 0))
-
-
-def test_window_points(p2):
-    pts = window_points(p2, 1)
-    assert len(pts) == 7  # hexagon plus center
-    assert (0, 0) in pts and (1, 0) in pts and (1, 1) not in pts
-    assert window_points(p2, 1) is pts  # cached
 
 
 def test_named_fan_catalog():
