@@ -60,14 +60,18 @@ def _degrees_from_ranges(ranges):
 
 def _render_radius(args):
     if args.window is not None:
-        return args.window
-    env = os.environ.get("KLYACHKO_WINDOW")
-    if env is not None:
+        radius, source = args.window, "--window"
+    else:
+        env = os.environ.get("KLYACHKO_WINDOW")
+        if env is None:
+            return None
         try:
-            return int(env)
+            radius, source = int(env), "KLYACHKO_WINDOW"
         except ValueError as exc:
             raise InputError(f"KLYACHKO_WINDOW={env!r} is not an integer") from exc
-    return None
+    if radius < 0:
+        raise InputError(f"{source} radius must be at least 0, got {radius}")
+    return radius
 
 
 def _load_ideal(path, fan):

@@ -1,64 +1,103 @@
-"""Multigraded Hilbert functions evaluated from Klyachko diagrams."""
+"""Multigraded Hilbert functions evaluated from Klyachko diagrams.
+
+A monomial of class u is a character m of the section polytope of the
+canonical lift D of u, with exponents <m, rho> + D_rho.  It lies in the
+B-saturation I^sat exactly when its exponents clear the floor s of the
+diagram and miss the gap cells of every maximal cone.  Along a fiber of
+the polytope (the first dim - 1 coordinates of m fixed) every exponent is
+affine in the last coordinate t, so the floor and each gap cell cut out
+one interval of t.  The fiber's members of I^sat are the floor interval
+minus the union of the gap intervals, and the rest of the fiber counts
+towards R/I^sat.  ``hilbert_value`` sums these counts in exact integer
+arithmetic and never lists the polytope's points.
+"""
 
 from .diagram import compute_diagram
 from .errors import InputError
-from .monomials import MonomialIdeal
-from .regions import polytope_points, region_is_finite, count_region_points
+from .regions import count_region_points, region_is_finite, section_fibers
 
 
 def ring_dimension(grading, degree):
     """dim R_degree: lattice points of the section polytope of the lift."""
     lift = grading.canonical_lift(degree)
-    return len(polytope_points(grading.fan, lift))
+    return sum(hi - lo + 1 for _, lo, hi in section_fibers(grading.fan, lift))
 
 
-def quotient_members(grading, diag, degree):
-    """Characters of the canonical lift that represent R/I^sat basis monomials.
+def _clip(lo, hi, a, c, low, high):
+    """Narrow [lo, hi] to the t with low <= a + c*t <= high; None = no bound."""
+    if c > 0:
+        if low is not None:
+            lo = max(lo, -((a - low) // c))
+        if high is not None:
+            hi = min(hi, (high - a) // c)
+    elif c < 0:
+        if low is not None:
+            hi = min(hi, (a - low) // -c)
+        if high is not None:
+            lo = max(lo, -((high - a) // -c))
+    elif (low is not None and a < low) or (high is not None and a > high):
+        return lo, lo - 1
+    return lo, hi
 
-    A degree-``degree`` monomial misses the saturated ideal exactly when
-    some maximal cone rejects it: the pairings either drop below the support
-    floor or land in the cone's gap region.
-    """
-    fan = grading.fan
-    lift = grading.canonical_lift(degree)
-    out = []
-    for m in polytope_points(fan, lift):
-        values = {i: fan.pairing(m, i) + lift[i] for i in range(fan.nrays)}
-        rejected = any((not diag.support(cone).contains_values(values))
-                       or diag.gaps(cone).contains_values(values)
-                       for cone in fan.max_cones)
-        if rejected:
-            out.append(m)
-    return out
+
+def _union_length(intervals):
+    """Number of integers in a union of nonempty closed intervals."""
+    total, reach = 0, None
+    for lo, hi in sorted(intervals):
+        if reach is not None and lo <= reach:
+            lo = reach + 1
+        if lo <= hi:
+            total += hi - lo + 1
+            reach = hi
+    return total
 
 
 def hilbert_value(grading, diag, degree):
-    """h_{R/I}(degree) for the B-saturated ideal I behind the diagram."""
-    return len(quotient_members(grading, diag, degree))
+    """h_{R/I}(degree) for the B-saturated ideal I behind the diagram.
+
+    Counted fiber by fiber as the module docstring describes.  The support
+    of every maximal cone is taken to be the floor orthant {pairings >= s},
+    which is how ``compute_diagram`` and ``sum_diagram`` build it.
+    """
+    fan = grading.fan
+    lift = grading.canonical_lift(degree)
+    rays = range(fan.nrays)
+    slopes = [ray[-1] for ray in fan.rays]
+    floor = diag.min_exponents
+    cells = [cell.bounds for cone in fan.max_cones for cell in diag.gaps(cone).cells]
+    total = 0
+    for prefix, lo, hi in section_fibers(fan, lift):
+        offsets = [sum(p * x for p, x in zip(prefix, fan.rays[i])) + lift[i]
+                   for i in rays]
+        f_lo, f_hi = lo, hi
+        for i in rays:
+            f_lo, f_hi = _clip(f_lo, f_hi, offsets[i], slopes[i], floor[i], None)
+        total += hi - lo + 1
+        if f_lo > f_hi:
+            continue
+        gaps = []
+        for bounds in cells:
+            g_lo, g_hi = f_lo, f_hi
+            for i, (low, high) in bounds:
+                g_lo, g_hi = _clip(g_lo, g_hi, offsets[i], slopes[i], low, high)
+                if g_lo > g_hi:
+                    break
+            else:
+                gaps.append((g_lo, g_hi))
+        # members of I^sat: the floor interval minus the union of the gaps
+        total -= f_hi - f_lo + 1 - _union_length(gaps)
+    return total
 
 
 def hilbert_value_general(grading, ideal, degree):
     """h of R modulo the saturation of an arbitrary nonzero monomial ideal.
 
-    Factors out the common monomial x^s first, then evaluates the cofactor
-    through its diagram and reassembles with the two ambient terms.  Agrees
-    with evaluating the ideal's own diagram directly; both routes are kept
-    because the factored one is the cheap degree-shift identity.
+    The ideal's diagram is computed and ``hilbert_value`` counts on it; there
+    is no second route.
     """
     if ideal.is_zero():
         raise InputError("the zero ideal has no Hilbert function here")
-    fan = grading.fan
-    s = ideal.min_exponents()
-    if all(x == 0 for x in s):
-        return hilbert_value(grading, compute_diagram(fan, ideal), degree)
-    shift = grading.degree(s)
-    shifted = tuple(a - b for a, b in zip(degree, shift))
-    stripped = MonomialIdeal([tuple(k - f for k, f in zip(g, s)) for g in ideal.gens],
-                             nvars=ideal.nvars)
-    inner = hilbert_value(grading, compute_diagram(fan, stripped), shifted)
-    return (ring_dimension(grading, degree)
-            - ring_dimension(grading, shifted)
-            + inner)
+    return hilbert_value(grading, compute_diagram(grading.fan, ideal), degree)
 
 
 def constant_hilbert_poly(fan, diag):

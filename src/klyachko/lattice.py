@@ -130,10 +130,18 @@ def _fiber(table, prefix, k):
     return out
 
 
-def _scan(rows, d, emit):
+def lattice_fibers(rows, d):
+    """The integer points of the system, one fiber of the last axis at a time.
+
+    Yields (prefix, lo, hi) with prefix the first d-1 coordinates: the
+    points over that prefix are exactly prefix + (t,) for lo <= t <= hi.
+    Only nonempty fibers are yielded, prefixes in lexicographic order.
+    For d == 0 the one point () of a feasible system comes as ((), 0, 0).
+    Raises UnboundedRegionError if the system is unbounded.
+    """
     if d == 0:
         if all(b <= 0 for _, b in rows):
-            emit((), 0, 0)
+            yield (), 0, 0
         return
     tables = bound_tables(rows, d)
     if tables is None:
@@ -146,41 +154,26 @@ def _scan(rows, d, emit):
         if lo is None or hi is None:
             raise UnboundedRegionError(k)
         if k == d - 1:
-            emit(prefix, lo, hi)
+            yield prefix, lo, hi
             return
         for v in range(lo, hi + 1):
             new_prefix = prefix + (v,)
             fiber = _fiber(tables[k + 1], new_prefix, k + 1)
             if fiber is not None:
-                walk(k + 1, new_prefix, fiber)
+                yield from walk(k + 1, new_prefix, fiber)
 
     first = [((c[0],), b) for c, b in tables[0]]
-    walk(0, (), first)
+    yield from walk(0, (), first)
 
 
 def enumerate_lattice_points(rows, d):
     """All integer points of the system, sorted.  Raises if unbounded."""
-    points = []
-
-    def emit(prefix, lo, hi):
-        if prefix == () and d == 0:
-            points.append(())
-            return
-        for v in range(lo, hi + 1):
-            points.append(prefix + (v,))
-
-    _scan(rows, d, emit)
-    points.sort()
-    return points
+    if d == 0:
+        return [()] * count_lattice_points(rows, 0)
+    return [prefix + (v,) for prefix, lo, hi in lattice_fibers(rows, d)
+            for v in range(lo, hi + 1)]
 
 
 def count_lattice_points(rows, d):
-    """Number of integer points; same search, counting whole final intervals."""
-    total = 0
-
-    def emit(prefix, lo, hi):
-        nonlocal total
-        total += 1 if (prefix == () and d == 0) else hi - lo + 1
-
-    _scan(rows, d, emit)
-    return total
+    """Number of integer points: the fiber lengths, summed."""
+    return sum(hi - lo + 1 for _, lo, hi in lattice_fibers(rows, d))

@@ -10,7 +10,7 @@ closed under that.
 """
 
 from .errors import InfiniteRegionError, InputError, json_int
-from .lattice import UnboundedRegionError, enumerate_lattice_points
+from .lattice import UnboundedRegionError, lattice_fibers
 from .linalg import solve_integer
 
 def _lo_key(v):
@@ -356,17 +356,24 @@ def count_region_points(fan, region):
     return total
 
 
-def polytope_points(fan, divisor):
-    """Characters m with <m, rho_i> + divisor[i] >= 0 for every ray.
+def section_fibers(fan, divisor):
+    """The characters m with <m, rho_i> + divisor[i] >= 0 for every ray.
 
-    This is the polytope of global sections of the divisor; finite whenever
-    the fan is complete.
+    This is the polytope of global sections of the divisor, finite whenever
+    the fan is complete.  Yields it fiber by fiber along the last axis of M,
+    as ``lattice.lattice_fibers`` does.
     """
     if len(divisor) != fan.nrays:
         raise InputError("divisor length does not match the ray count")
     rows = [(tuple(fan.rays[i]), -int(divisor[i])) for i in range(fan.nrays)]
     try:
-        return enumerate_lattice_points(rows, fan.dim)
+        yield from lattice_fibers(rows, fan.dim)
     except UnboundedRegionError as exc:
         raise InfiniteRegionError(
             "section polytope is unbounded; the fan is not complete") from exc
+
+
+def polytope_points(fan, divisor):
+    """All characters of the section polytope of the divisor, sorted."""
+    return [prefix + (t,) for prefix, lo, hi in section_fibers(fan, divisor)
+            for t in range(lo, hi + 1)]

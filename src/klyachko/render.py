@@ -50,7 +50,7 @@ def ascii_diagram(fan, diag, radius=None):
     for cone in fan.max_cones:
         rays = ", ".join(str(fan.rays[i]) for i in cone)
         lines = [f"cone {cone}  rays {rays}",
-                 f"window [-{r}, {r}]^2, {FILLED} member  {GAP} gap  {OUTSIDE} outside"]
+                 f"window [{-r}, {r}]^2, {FILLED} member  {GAP} gap  {OUTSIDE} outside"]
         for m2 in range(r, -r - 1, -1):
             row = []
             for m1 in range(-r, r + 1):

@@ -17,7 +17,7 @@ import json
 import re
 
 from . import linalg
-from .errors import InputError
+from .errors import InputError, json_int
 
 
 class Fan:
@@ -72,9 +72,13 @@ class Fan:
     @classmethod
     def from_json(cls, obj, name=None):
         try:
-            return cls(obj["dim"], obj["rays"], obj["max_cones"], name=name)
-        except (KeyError, TypeError, ValueError) as exc:
+            dim = json_int(obj["dim"], "fan dimension")
+            rays = [[json_int(x, "ray entry") for x in ray] for ray in obj["rays"]]
+            cones = [[json_int(i, "cone ray index") for i in cone]
+                     for cone in obj["max_cones"]]
+        except (KeyError, TypeError) as exc:
             raise InputError(f"malformed fan data: {exc}") from exc
+        return cls(dim, rays, cones, name=name)
 
 
 def validate_fan(fan):

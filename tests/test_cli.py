@@ -206,6 +206,18 @@ def test_bad_window_env_exit_code(capsys, files, monkeypatch):
     assert "KLYACHKO_WINDOW" in capsys.readouterr().err
 
 
+def test_negative_render_radius_exit_code(capsys, files, monkeypatch):
+    path = files("ex.json", {"gens": EX_GENS})
+    assert main(["render", "P2", path, "--window", "-3"]) == 2
+    assert "--window" in capsys.readouterr().err
+    monkeypatch.setenv("KLYACHKO_WINDOW", "-1")
+    assert main(["diagram", "P2", path, "--render"]) == 2
+    assert "KLYACHKO_WINDOW" in capsys.readouterr().err
+    monkeypatch.setenv("KLYACHKO_WINDOW", "0")
+    assert main(["render", "P2", path]) == 0
+    assert "window [0, 0]^2" in capsys.readouterr().out
+
+
 def test_check_rejects_window_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["check", "P2", "--window", "3"])
@@ -220,6 +232,7 @@ def test_hostile_json_exit_code(capsys, files, p2):
     wrong_cone = json.loads(json.dumps(blob))
     wrong_cone["cones"]["1,2"]["gaps"] = {"cone": [0, 1], "cells": []}
     float_floor = dict(blob, s=[0, 0.5, 0])
+    p2_json = p2.to_json()
     inputs = {
         "string exponent": {"gens": [[0, "x", 2]]},
         "gens not a list": {"gens": 5},
@@ -229,9 +242,17 @@ def test_hostile_json_exit_code(capsys, files, p2):
         "region cone differs from its key": wrong_cone,
         "float exponent floor": float_floor,
     }
-    for label, payload in inputs.items():
-        path = files("hostile.json", payload)
-        rc = main(["saturate", "P2", path])
+    fans = {
+        "float and bool ray entries": dict(p2_json, rays=[[-1, -1], [1.9, 0], [0, True]]),
+        "string dimension": dict(p2_json, dim="2"),
+        "float cone index": dict(p2_json, max_cones=[[0, 1], [0, 2], [1, 2.0]]),
+        "rays not a list": dict(p2_json, rays=7),
+    }
+    ideal = files("ideal.json", {"gens": EX_GENS})
+    for label, payload in {**inputs, **fans}.items():
+        hostile = files("hostile.json", payload)
+        rc = main(["diagram", hostile, ideal] if label in fans
+                  else ["saturate", "P2", hostile])
         captured = capsys.readouterr()
         assert rc == 2, label
         assert "error:" in captured.err, label

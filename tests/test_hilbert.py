@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from klyachko import (InputError, MonomialIdeal, compute_diagram,
+from klyachko import (InputError, MonomialIdeal, compute_diagram, compute_grading,
                       constant_hilbert_poly, hilbert_oracle, hilbert_value,
-                      hilbert_value_general, ring_dimension, saturate_oracle)
+                      hilbert_value_general, hirzebruch, product_of_projective_spaces,
+                      projective_space, ring_dimension, saturate_oracle)
 from klyachko.monomials import degree_window
 
 P2_GENS = [(0, 0, 2), (1, 0, 1), (1, 1, 0)]
@@ -56,17 +58,6 @@ def test_unit_ideal_quotient_vanishes(p2, p2_grading):
     assert constant_hilbert_poly(p2, diag) == (0, None)
 
 
-def test_general_route_factored_example(p2, p2_grading):
-    # x0*(x1, x2) has a common factor, so the split evaluation kicks in
-    ideal = MonomialIdeal([(1, 1, 0), (1, 0, 1)])
-    assert hilbert_value_general(p2_grading, ideal, (1,)) == 3
-    diag = compute_diagram(p2, ideal)
-    for a in range(-1, 6):
-        split = hilbert_value_general(p2_grading, ideal, (a,))
-        direct = hilbert_value(p2_grading, diag, (a,))
-        assert split == direct
-
-
 def test_general_route_matches_oracle(p2, p2_grading, h3, h3_grading):
     cases = [
         (p2, p2_grading, P2_GENS),
@@ -80,6 +71,13 @@ def test_general_route_matches_oracle(p2, p2_grading, h3, h3_grading):
         for degree in degree_window(grading, ideal):
             assert hilbert_value_general(grading, ideal, degree) == \
                 hilbert_oracle(sat, grading, degree)
+    # x0*(x1, x2) has the common factor x0
+    ideal = MonomialIdeal([(1, 1, 0), (1, 0, 1)])
+    sat = saturate_oracle(ideal, p2)
+    assert hilbert_value_general(p2_grading, ideal, (1,)) == 3
+    for a in range(-1, 6):
+        assert hilbert_value_general(p2_grading, ideal, (a,)) == \
+            hilbert_oracle(sat, p2_grading, (a,))
 
 
 def test_diagram_route_matches_oracle(p2, p2_grading):
@@ -94,3 +92,41 @@ def test_diagram_route_matches_oracle(p2, p2_grading):
 def test_general_route_rejects_zero_ideal(p2_grading):
     with pytest.raises(InputError):
         hilbert_value_general(p2_grading, MonomialIdeal([], nvars=3), (1,))
+
+
+def test_large_degrees_are_counted(p2, p2_grading, p3, p3_grading):
+    # far beyond what listing the section polytope's points could reach
+    plane = compute_diagram(p2, MonomialIdeal(P2_GENS))
+    assert hilbert_value(p2_grading, plane, (5000,)) == 3
+    space = compute_diagram(p3, MonomialIdeal(P3_GENS))
+    assert hilbert_value(p3_grading, space, (120,)) == 3 * 121
+    assert ring_dimension(p2_grading, (1000,)) == 1001 * 1002 // 2
+
+
+PROPERTY_FANS = [projective_space(2), hirzebruch(3),
+                 product_of_projective_spaces(1, 1), projective_space(3),
+                 product_of_projective_spaces(2, 2)]
+
+
+@st.composite
+def fans_and_ideals(draw):
+    fan = draw(st.sampled_from(PROPERTY_FANS))
+    top = 2 if fan.nrays > 4 else 3
+    exponents = st.tuples(*[st.integers(0, top)] * fan.nrays)
+    gens = draw(st.lists(exponents, min_size=1, max_size=3))
+    return fan, MonomialIdeal(gens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fans_and_ideals())
+def test_hilbert_value_matches_oracle(case):
+    fan, ideal = case
+    grading = compute_grading(fan)
+    diag = compute_diagram(fan, ideal)
+    sat = saturate_oracle(ideal, fan)
+    classes = [grading.degree(g) for g in ideal.gens]
+    top = tuple(max(c[i] for c in classes) for i in range(grading.rank))
+    degrees = degree_window(grading, ideal) + [tuple(k * x for x in top) for k in (2, 3)]
+    for degree in degrees:
+        assert hilbert_value(grading, diag, degree) == \
+            hilbert_oracle(sat, grading, degree), degree
