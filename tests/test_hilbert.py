@@ -58,6 +58,18 @@ def test_unit_ideal_quotient_vanishes(p2, p2_grading):
     assert constant_hilbert_poly(p2, diag) == (0, None)
 
 
+def test_general_route_factored_example(p2, p2_grading):
+    # x0*(x1, x2) has the common factor x0
+    ideal = MonomialIdeal([(1, 1, 0), (1, 0, 1)])
+    assert hilbert_value_general(p2_grading, ideal, (1,)) == 3
+    sat = saturate_oracle(ideal, p2)
+    diag = compute_diagram(p2, ideal)
+    for a in range(-1, 6):
+        general = hilbert_value_general(p2_grading, ideal, (a,))
+        assert general == hilbert_value(p2_grading, diag, (a,))
+        assert general == hilbert_oracle(sat, p2_grading, (a,))
+
+
 def test_general_route_matches_oracle(p2, p2_grading, h3, h3_grading):
     cases = [
         (p2, p2_grading, P2_GENS),
@@ -71,13 +83,6 @@ def test_general_route_matches_oracle(p2, p2_grading, h3, h3_grading):
         for degree in degree_window(grading, ideal):
             assert hilbert_value_general(grading, ideal, degree) == \
                 hilbert_oracle(sat, grading, degree)
-    # x0*(x1, x2) has the common factor x0
-    ideal = MonomialIdeal([(1, 1, 0), (1, 0, 1)])
-    sat = saturate_oracle(ideal, p2)
-    assert hilbert_value_general(p2_grading, ideal, (1,)) == 3
-    for a in range(-1, 6):
-        assert hilbert_value_general(p2_grading, ideal, (a,)) == \
-            hilbert_oracle(sat, p2_grading, (a,))
 
 
 def test_diagram_route_matches_oracle(p2, p2_grading):
