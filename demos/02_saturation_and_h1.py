@@ -22,8 +22,9 @@ grading = compute_grading(p2)
 ideal = MonomialIdeal([(3, 1, 0), (1, 1, 2), (0, 0, 3), (0, 3, 0)])
 diag = compute_diagram(p2, ideal)
 
-# Reconstruction sweeps the degrees of a proven exponent box, collecting
-# monomials of the diagram that no earlier generator divides.
+# Reconstruction scans a proven exponent box, visiting only the exponents
+# where a gap cell starts or ends, and keeps the monomials of the diagram
+# that stop being members when divided by any one variable.
 sat = reconstruct_generators(grading, diag)
 print("generators of the saturation:")
 for g in sorted(sat.gens):

@@ -15,7 +15,7 @@ import sys
 from .checks import check_ideal, run_suite
 from .diagram import KlyachkoDiagram, compute_diagram, sum_diagram
 from .errors import InputError, KlyachkoError, SearchBoxError
-from .hilbert import constant_hilbert_poly, hilbert_value_general
+from .hilbert import constant_hilbert_poly, hilbert_value
 from .monomials import MonomialIdeal, monomial_str
 from .reconstruction import local_cohomology_h1, reconstruct_generators
 from .render import ascii_diagram, svg_diagram
@@ -132,9 +132,9 @@ def cmd_hilbert(args):
     grading = compute_grading(fan)
     ideal = _load_ideal(args.ideal, fan)
     ranges = _parse_ranges(args.degrees, grading.rank, "--degrees")
-    values = [{"degree": list(d), "value": hilbert_value_general(grading, ideal, d)}
-              for d in _degrees_from_ranges(ranges)]
     diag = compute_diagram(fan, ideal)
+    values = [{"degree": list(d), "value": hilbert_value(grading, diag, d)}
+              for d in _degrees_from_ranges(ranges)]
     constant, note = constant_hilbert_poly(fan, diag)
     payload = {"values": values, "constant_poly": constant, "note": note}
     _emit(payload, args.out)

@@ -2,9 +2,10 @@
 
 The bridge between characters and monomials: a character m together with a
 divisor lift D names the monomial with exponent vector <m, rho> + D_rho.
-Graded pieces of the saturated ideal are read off the diagram one class at
-a time; subtracting the multiples of previously found generators leaves the
-new minimal generators of that class.
+The minimal generators of the saturated ideal are read off the diagram by
+one scan of the exponent box [s, K], visiting only the breakpoints where
+some gap cell starts or ends.  Graded pieces (for H^1) are read off one
+class at a time.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import itertools
 from .diagram import compute_diagram
 from .errors import InfiniteRegionError, InputError, SearchBoxError
 from .lattice import UnboundedRegionError, enumerate_lattice_points
-from .monomials import MonomialIdeal, minimalize, monomial_str
+from .monomials import MonomialIdeal, monomial_str
 
 
 class GradedPiece:
@@ -126,111 +127,92 @@ def exponent_caps(fan, diag):
     return tuple(caps)
 
 
-def _membership_tables(fan, diag, caps):
-    """Per maximal cone, a lookup from projected exponents to membership."""
+def _breakpoints(fan, diag, caps):
+    """Per ray, the sorted values in [s, K] at which membership can change.
+
+    These are s_rho and every gap-cell bound lo or hi + 1 on the ray that
+    falls in (s_rho, K_rho]; between two consecutive breakpoints no cell
+    starts or ends, so membership is constant there.
+    """
     s = diag.min_exponents
+    points = [{s[r]} for r in range(fan.nrays)]
+    for cone in fan.max_cones:
+        for cell in diag.gaps(cone).cells:
+            for ray, (lo, hi) in cell.bounds:
+                for v in (lo, None if hi is None else hi + 1):
+                    if v is not None and s[ray] < v <= caps[ray]:
+                        points[ray].add(v)
+    return [sorted(p) for p in points]
+
+
+def _membership_tables(fan, diag, grid):
+    """Per maximal cone, a lookup from breakpoint indices to membership."""
     tables = {}
     for cone in fan.max_cones:
         gaps = diag.gaps(cone)
-        table = {}
-        for proj in itertools.product(*(range(s[r], caps[r] + 1) for r in cone)):
-            table[proj] = not gaps.contains_values(dict(zip(cone, proj)))
-        tables[cone] = table
+        tables[cone] = {
+            idx: not gaps.contains_values({r: grid[r][i] for r, i in zip(cone, idx)})
+            for idx in itertools.product(*(range(len(grid[r])) for r in cone))}
     return tables
 
 
 def minimal_generator_exponents(fan, diag):
     """Exponent vectors of the saturation's minimal generators.
 
-    Scans the box [s, K] with the per-cone membership tables; a member is
-    minimal when dividing by any single variable leaves the ideal.  Exact
-    because exponents >= s make support membership automatic, so membership
-    is avoidance of every maximal cone's gaps.
+    Scans the breakpoint grid of the box [s, K] with the per-cone membership
+    tables; a member is minimal when dividing by any single variable leaves
+    the ideal.  Exact because exponents >= s make support membership
+    automatic, so membership is avoidance of every maximal cone's gaps.  A
+    minimal generator sits on breakpoints (otherwise one step down keeps
+    membership), and one step down from a breakpoint lands in the range of
+    the previous one, so the result equals a scan of every point of the box.
     """
-    s = diag.min_exponents
     caps = exponent_caps(fan, diag)
-    tables = _membership_tables(fan, diag, caps)
+    grid = _breakpoints(fan, diag, caps)
+    tables = _membership_tables(fan, diag, grid)
 
-    def member(k):
-        return all(tables[cone][tuple(k[r] for r in cone)]
+    def member(idx):
+        return all(tables[cone][tuple(idx[r] for r in cone)]
                    for cone in fan.max_cones)
 
     found = []
-    for k in itertools.product(*(range(s[r], caps[r] + 1) for r in range(fan.nrays))):
-        if not member(k):
+    for idx in itertools.product(*(range(len(points)) for points in grid)):
+        if not member(idx):
             continue
-        minimal = True
-        for r in range(fan.nrays):
-            if k[r] > s[r]:
-                below = k[:r] + (k[r] - 1,) + k[r + 1:]
-                if member(below):
-                    minimal = False
-                    break
-        if minimal:
-            found.append(k)
+        if not any(idx[r] > 0 and member(idx[:r] + (idx[r] - 1,) + idx[r + 1:])
+                   for r in range(fan.nrays)):
+            found.append(tuple(grid[r][i] for r, i in enumerate(idx)))
     return caps, found
-
-
-def _class_order(u):
-    return (sum(u), u)
-
-
-def _box_classes(box):
-    ranges = [range(lo, hi + 1) for lo, hi in box]
-    return sorted(itertools.product(*ranges), key=_class_order)
 
 
 def reconstruct_generators(grading, diag, search_box=None):
     """Minimal generators of the B-saturated ideal with the given diagram.
 
-    Sweeps degree classes in a fixed linear order; in each class the piece
-    of the ideal is read from the diagram and the multiples of previously
-    accepted generators are removed.  The final division step makes the
-    union minimal, so the sweep order only affects intermediate sets.
-
-    Without ``search_box`` the classes to visit are derived from the diagram
-    itself (exponent box [s, K], which provably contains all minimal
-    generators).  With an explicit box of per-coordinate class ranges the
-    whole box is swept and a SearchBoxError reports surviving generators on
-    its boundary, since then the box gives no evidence of completeness.
+    Read off the breakpoint scan of ``minimal_generator_exponents``.  An
+    explicit ``search_box`` of per-coordinate class ranges is a check on
+    that exact answer: a generator whose class is not strictly inside the
+    box raises SearchBoxError.
     """
     fan = grading.fan
-    if diag.is_principal():
-        return MonomialIdeal([diag.min_exponents], nvars=fan.nrays)
-    if search_box is None:
-        _, exps = minimal_generator_exponents(fan, diag)
-        classes = sorted({grading.degree(k) for k in exps}, key=_class_order)
-        box = None
-    else:
+    if search_box is not None:
         box = [(int(lo), int(hi)) for lo, hi in search_box]
         if len(box) != grading.rank:
             raise InputError(f"search box has {len(box)} ranges, "
                              f"expected {grading.rank}")
         if any(lo > hi for lo, hi in box):
             raise InputError("empty search box range")
-        classes = _box_classes(box)
-    accepted = []
-    collected = []
-    for u in classes:
-        lift = grading.canonical_lift(u)
-        piece = graded_basis(grading, diag, lift)
-        fresh = [m for m in piece.characters
-                 if not is_spanned(fan, m, accepted, lift)]
-        for m in fresh:
-            accepted.append((m, lift))
-            collected.append(piece.exponents(m))
-    if not collected:
-        # the diagram of a nonzero ideal always reconstructs to something
-        raise SearchBoxError("no generators inside the search box; enlarge it")
-    result = MonomialIdeal(minimalize(collected), nvars=fan.nrays)
-    if box is not None:
-        # a sweep can pick up multiples of not-yet-visited generators, so
-        # truncation is only judged on the generators that survive division
+    _, found = minimal_generator_exponents(fan, diag)
+    if not found:
+        # the saturation of a nonzero ideal has a generator inside [s, K]
+        raise InputError("the diagram's gaps cover every monomial above its "
+                         "floor; it is not the diagram of a nonzero ideal")
+    result = MonomialIdeal(found, nvars=fan.nrays)
+    if search_box is not None:
         for g in result.gens:
             u = grading.degree(g)
-            if any(u[i] in (box[i][0], box[i][1]) for i in range(len(box))):
+            if not all(lo < x < hi for x, (lo, hi) in zip(u, box)):
                 raise SearchBoxError(
-                    f"a generator of class {u} touches the search box "
+                    f"a generator of class {u} is on or past the search box "
                     "boundary; enlarge the box")
     return result
 

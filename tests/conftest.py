@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import settings
 
 from klyachko import compute_grading, hirzebruch, product_of_projective_spaces, projective_space
+
+# examples are bounded by their size, not by the wall clock of a shared host
+settings.register_profile("klyachko", deadline=None)
+settings.load_profile("klyachko")
 
 
 @pytest.fixture(scope="session")

@@ -60,6 +60,25 @@ def test_hilbert_command(capsys, files):
     assert payload["note"] is None
 
 
+def test_hilbert_builds_the_diagram_once(capsys, monkeypatch, files):
+    import klyachko.cli as cli
+    import klyachko.hilbert as hilbert
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compute_diagram(*args, **kwargs)
+
+    # the library route builds its own diagram, so count that one too
+    for module in (cli, hilbert):
+        monkeypatch.setattr(module, "compute_diagram", counted)
+    path = files("ex.json", {"gens": EX_GENS})
+    payload = run_json(capsys, ["hilbert", "P2", path, "--degrees", "0..5"])
+    assert [v["value"] for v in payload["values"]] == [1, 3, 3, 3, 3, 3]
+    assert len(calls) == 1
+
+
 def test_h1_command(capsys, files):
     path = files("h1.json", {"gens": H1_GENS})
     payload = run_json(capsys, ["h1", "P2", path, "--degrees", "0..6"])
@@ -82,6 +101,17 @@ def test_saturate_from_diagram_json(capsys, files, h3):
     assert payload == {"gens": [[0, 0, 0, 1], [0, 1, 0, 0]]}
 
 
+def test_saturate_diagram_without_members_exit_code(capsys, files, p2):
+    diag = compute_diagram(p2, MonomialIdeal([(1, 1, 0)])).to_json()
+    # a gap over the whole floor orthant of one maximal cone
+    diag["cones"]["1,2"]["gaps"]["cells"] = [{"1": [1, None], "2": [0, None]}]
+    rc = main(["saturate", "P2", files("diag.json", diag)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_saturate_box(capsys, files):
     path = files("h3.json", {"gens": H3_GENS})
     payload = run_json(capsys, ["saturate", "H3", path,
@@ -95,6 +125,32 @@ def test_saturate_box_too_small(capsys, files):
     captured = capsys.readouterr()
     assert rc == 3
     assert "boundary" in captured.err
+
+
+@pytest.mark.parametrize("gens, box", [
+    # the generator x0^7*x1*x2^3 has class 11, past the box
+    ([[7, 1, 3], [0, 5, 0]], "1..9"),
+    # a principal ideal, whose class 3 lies below the box
+    ([[2, 1, 0]], "50..60"),
+])
+def test_saturate_box_misses_a_generator(capsys, files, gens, box):
+    path = files("ideal.json", {"gens": gens})
+    rc = main(["saturate", "P2", path, "--box", box])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert "boundary" in captured.err
+
+
+def test_saturate_huge_box_returns_promptly(files):
+    path = files("ideal.json", {"gens": [[0, 0, 2], [1, 0, 1], [1, 1, 0]]})
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-m", "klyachko.cli", "saturate",
+                             "P2", path, "--box", "0..100000"],
+                            env=env, capture_output=True, text=True, timeout=20)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"gens": [[0, 0, 2], [1, 0, 1], [1, 1, 0]]}
 
 
 def test_sum_command(capsys, files, p2):

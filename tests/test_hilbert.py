@@ -122,7 +122,7 @@ def fans_and_ideals(draw):
     return fan, MonomialIdeal(gens)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(fans_and_ideals())
 def test_hilbert_value_matches_oracle(case):
     fan, ideal = case

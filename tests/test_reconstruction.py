@@ -1,12 +1,15 @@
-import random
+import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klyachko import (Cell, InputError, KlyachkoDiagram, LatticeRegion,
                       MonomialIdeal, SearchBoxError, compute_diagram,
-                      graded_basis, hilbert_oracle, local_cohomology_h1,
-                      minimal_generator_exponents, monomials_of_degree,
-                      reconstruct_generators, saturate_oracle, span_set)
+                      compute_grading, graded_basis, hilbert_oracle, hirzebruch,
+                      local_cohomology_h1, minimal_generator_exponents,
+                      monomials_of_degree, product_of_projective_spaces,
+                      projective_space, reconstruct_generators, saturate_oracle,
+                      span_set)
 from klyachko.diagram import ConeEntry, support_region
 from klyachko.reconstruction import exponent_caps, is_spanned
 
@@ -178,16 +181,75 @@ def test_reconstruct_principal(p2, p2_grading):
     assert reconstruct_generators(p2_grading, diag) == MonomialIdeal([(2, 1, 0)])
 
 
-def test_reconstruct_roundtrip_random(p2, p2_grading, h3, h3_grading):
-    rng = random.Random(11)
-    for fan, grading in [(p2, p2_grading), (h3, h3_grading)]:
-        for _ in range(20):
-            gens = [tuple(rng.randint(0, 3) for _ in range(fan.nrays))
-                    for _ in range(rng.randint(1, 4))]
-            ideal = MonomialIdeal(gens)
-            diag = compute_diagram(fan, ideal)
-            assert reconstruct_generators(grading, diag) == \
-                saturate_oracle(ideal, fan)
+PROPERTY_FANS = [projective_space(2), hirzebruch(3),
+                 product_of_projective_spaces(1, 1), projective_space(3)]
+
+
+@st.composite
+def fans_and_ideals(draw):
+    fan = draw(st.sampled_from(PROPERTY_FANS))
+    exponents = st.tuples(*[st.integers(0, 3)] * fan.nrays)
+    gens = draw(st.lists(exponents, min_size=1, max_size=4))
+    return fan, MonomialIdeal(gens)
+
+
+@settings(max_examples=60)
+@given(fans_and_ideals(), st.data())
+def test_reconstruct_roundtrip_random(case, data):
+    fan, ideal = case
+    grading = compute_grading(fan)
+    diag = compute_diagram(fan, ideal)
+    result = reconstruct_generators(grading, diag)
+    assert result == saturate_oracle(ideal, fan)
+    classes = [grading.degree(g) for g in result.gens]
+    box = [(min(c[i] for c in classes) - 1, max(c[i] for c in classes) + 1)
+           for i in range(grading.rank)]
+    assert reconstruct_generators(grading, diag, search_box=box) == result
+    # cut one generator's class out of the box, below or above it
+    u = data.draw(st.sampled_from(classes))
+    i = data.draw(st.integers(0, grading.rank - 1))
+    lo, hi = box[i]
+    box[i] = data.draw(st.sampled_from([(lo, u[i] - 1), (u[i] + 1, hi)]))
+    with pytest.raises(SearchBoxError):
+        reconstruct_generators(grading, diag, search_box=box)
+
+
+@st.composite
+def hand_built_diagrams(draw):
+    fan = draw(st.sampled_from(PROPERTY_FANS))
+    s = draw(st.tuples(*[st.integers(0, 2)] * fan.nrays))
+    # an interval (lo, lo + width) on a ray; None leaves a side open
+    lows = st.one_of(st.integers(-1, 4), st.none())
+    widths = st.one_of(st.integers(0, 3), st.none())
+    interval = st.tuples(lows, widths).map(
+        lambda p: (p[0], None if p[1] is None else (p[0] or 0) + p[1]))
+    gaps = {}
+    for cone in fan.max_cones:
+        cells = draw(st.lists(st.dictionaries(st.sampled_from(cone), interval,
+                                              min_size=1),
+                              max_size=4))
+        gaps[cone] = LatticeRegion(cone, [Cell(bounds) for bounds in cells])
+    return fan, diagram_from_max_gaps(fan, s, gaps)
+
+
+@settings(max_examples=150)
+@given(hand_built_diagrams())
+def test_generator_scan_matches_full_box(case):
+    fan, diag = case
+    s = diag.min_exponents
+    caps = exponent_caps(fan, diag)
+
+    def member(k):
+        values = dict(enumerate(k))
+        return not any(diag.gaps(cone).contains_values(values)
+                       for cone in fan.max_cones)
+
+    expected = []
+    for k in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(s, caps))):
+        if member(k) and not any(k[r] > s[r] and member(k[:r] + (k[r] - 1,) + k[r + 1:])
+                                 for r in range(fan.nrays)):
+            expected.append(k)
+    assert minimal_generator_exponents(fan, diag) == (caps, expected)
 
 
 def test_reconstruct_explicit_box(p2_grading, p2_given, h3_grading, h3_given):
