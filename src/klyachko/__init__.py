@@ -16,9 +16,9 @@ from .monomials import (MonomialIdeal, hilbert_oracle, ideal_intersect,
                         monomials_of_degree, saturate_oracle)
 from .reconstruction import (GradedPiece, graded_basis, local_cohomology_h1,
                              minimal_generator_exponents,
-                             reconstruct_generators, span_set)
+                             reconstruct_generators)
 from .regions import (Cell, LatticeRegion, count_region_points,
-                      polytope_points, region_is_finite, region_points)
+                      region_is_finite, region_points)
 from .render import ascii_diagram, svg_diagram
 from .toric import (CoxGrading, Fan, compute_grading, hirzebruch, load_fan,
                     named_fan, product_of_projective_spaces, projective_space,
@@ -35,8 +35,8 @@ __all__ = [
     "hilbert_value_general", "hirzebruch", "ideal_intersect", "ideal_sum",
     "load_fan", "local_cohomology_h1", "minimal_generator_exponents",
     "minimalize", "monomial_str", "monomials_of_degree", "named_fan",
-    "polytope_points", "product_of_projective_spaces", "projective_space",
+    "product_of_projective_spaces", "projective_space",
     "reconstruct_generators", "region_is_finite", "region_points",
-    "ring_dimension", "saturate_oracle", "shift_diagram", "span_set",
-    "sum_diagram", "svg_diagram", "validate_fan",
+    "ring_dimension", "saturate_oracle", "shift_diagram", "sum_diagram",
+    "svg_diagram", "validate_fan",
 ]

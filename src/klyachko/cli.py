@@ -188,6 +188,8 @@ def cmd_check(args):
             ],
         }
     else:
+        if args.random < 1:
+            raise InputError(f"--random must be at least 1, got {args.random}")
         report = run_suite(fan, seed=args.seed, count=args.random)
     failed = False
     for prop in report["properties"]:

@@ -1,16 +1,19 @@
 """Multigraded Hilbert functions evaluated from Klyachko diagrams.
 
-A monomial of class u is a character m of the section polytope of the
-canonical lift D of u, with exponents <m, rho> + D_rho.  It lies in the
-B-saturation I^sat exactly when its exponents clear the floor s of the
-diagram and miss the gap cells of every maximal cone.  Along a fiber of
-the polytope (the first dim - 1 coordinates of m fixed) every exponent is
-affine in the last coordinate t, so the floor and each gap cell cut out
-one interval of t.  The fiber's members of I^sat are the floor interval
-minus the union of the gap intervals, and the rest of the fiber counts
-towards R/I^sat.  ``hilbert_value`` sums these counts in exact integer
-arithmetic and never lists the polytope's points.
+A monomial of class u is a character m of the section polytope of a lift D
+of u, with exponents <m, rho> + D_rho.  It lies in the B-saturation I^sat
+exactly when its exponents clear the floor s of the diagram and miss the
+gap cells of every maximal cone.  Along a fiber of the polytope (the first
+dim - 1 coordinates of m fixed) every exponent is affine in the last
+coordinate t, so the floor, each gap cell and each generator of an ideal
+cut out one interval of t.  ``walk_fibers`` yields, per fiber, the members
+of I^sat as the floor interval minus the union of the gap intervals, and
+the members of the ideal as the union of the generator intervals.
+``hilbert_value`` sums their lengths; the graded pieces and H^1 of
+``reconstruction`` expand them.  No route lists the polytope's points.
 """
+
+from operator import mul
 
 from .diagram import compute_diagram
 from .errors import InputError
@@ -40,53 +43,82 @@ def _clip(lo, hi, a, c, low, high):
     return lo, hi
 
 
-def _union_length(intervals):
-    """Number of integers in a union of nonempty closed intervals."""
-    total, reach = 0, None
+def _cut(lo, hi, offsets, slopes, boxes):
+    """Per box of (ray, (low, high)) bounds, the t in [lo, hi] inside it."""
+    out = []
+    for bounds in boxes:
+        b_lo, b_hi = lo, hi
+        for i, (low, high) in bounds:
+            b_lo, b_hi = _clip(b_lo, b_hi, offsets[i], slopes[i], low, high)
+            if b_lo > b_hi:
+                break
+        else:
+            out.append((b_lo, b_hi))
+    return out
+
+
+def _merge(intervals):
+    """Nonempty closed intervals as a sorted, disjoint list."""
+    out = []
     for lo, hi in sorted(intervals):
-        if reach is not None and lo <= reach:
-            lo = reach + 1
+        if out and lo <= out[-1][1] + 1:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def interval_minus(intervals, holes):
+    """Sorted disjoint intervals minus sorted disjoint holes, likewise."""
+    out = []
+    for lo, hi in intervals:
+        for h_lo, h_hi in holes:
+            if h_hi < lo:
+                continue
+            if h_lo > hi:
+                break
+            if h_lo > lo:
+                out.append((lo, h_lo - 1))
+            lo = h_hi + 1
         if lo <= hi:
-            total += hi - lo + 1
-            reach = hi
-    return total
+            out.append((lo, hi))
+    return out
+
+
+def walk_fibers(fan, diag, divisor, gens=()):
+    """Per fiber of the divisor's section polytope: (prefix, lo, hi, sat, ideal).
+
+    The fiber holds the characters prefix + (t,) for lo <= t <= hi.  ``sat``
+    is the sorted, disjoint t-intervals of the monomials in I^sat, ``ideal``
+    the same for the multiples of the exponent vectors ``gens`` that clear
+    the floor (all of them, for the generators of the diagram's ideal).
+    The support of every maximal cone is taken to be the floor orthant
+    {pairings >= s}, which is how ``compute_diagram`` and ``sum_diagram``
+    build it.
+    """
+    slopes = [ray[-1] for ray in fan.rays]
+    divisor = [int(x) for x in divisor]
+    floor = [[(i, (s, None)) for i, s in enumerate(diag.min_exponents)]]
+    cells = [cell.bounds for cone in fan.max_cones for cell in diag.gaps(cone).cells]
+    gens = [[(i, (x, None)) for i, x in enumerate(g)] for g in gens]
+    for prefix, lo, hi in section_fibers(fan, divisor):
+        offsets = [sum(map(mul, prefix, ray), d) for ray, d in zip(fan.rays, divisor)]
+        sat, ideal = _cut(lo, hi, offsets, slopes, floor), []
+        if sat:
+            [(f_lo, f_hi)] = sat
+            sat = interval_minus(sat, _merge(_cut(f_lo, f_hi, offsets, slopes, cells)))
+            ideal = _merge(_cut(f_lo, f_hi, offsets, slopes, gens))
+        yield prefix, lo, hi, sat, ideal
 
 
 def hilbert_value(grading, diag, degree):
     """h_{R/I}(degree) for the B-saturated ideal I behind the diagram.
 
-    Counted fiber by fiber as the module docstring describes.  The support
-    of every maximal cone is taken to be the floor orthant {pairings >= s},
-    which is how ``compute_diagram`` and ``sum_diagram`` build it.
+    Counted fiber by fiber: the fiber's length minus its members of I^sat.
     """
-    fan = grading.fan
     lift = grading.canonical_lift(degree)
-    rays = range(fan.nrays)
-    slopes = [ray[-1] for ray in fan.rays]
-    floor = diag.min_exponents
-    cells = [cell.bounds for cone in fan.max_cones for cell in diag.gaps(cone).cells]
-    total = 0
-    for prefix, lo, hi in section_fibers(fan, lift):
-        offsets = [sum(p * x for p, x in zip(prefix, fan.rays[i])) + lift[i]
-                   for i in rays]
-        f_lo, f_hi = lo, hi
-        for i in rays:
-            f_lo, f_hi = _clip(f_lo, f_hi, offsets[i], slopes[i], floor[i], None)
-        total += hi - lo + 1
-        if f_lo > f_hi:
-            continue
-        gaps = []
-        for bounds in cells:
-            g_lo, g_hi = f_lo, f_hi
-            for i, (low, high) in bounds:
-                g_lo, g_hi = _clip(g_lo, g_hi, offsets[i], slopes[i], low, high)
-                if g_lo > g_hi:
-                    break
-            else:
-                gaps.append((g_lo, g_hi))
-        # members of I^sat: the floor interval minus the union of the gaps
-        total -= f_hi - f_lo + 1 - _union_length(gaps)
-    return total
+    return sum(hi - lo + 1 - sum(b - a + 1 for a, b in sat)
+               for _, lo, hi, sat, _ in walk_fibers(grading.fan, diag, lift))
 
 
 def hilbert_value_general(grading, ideal, degree):

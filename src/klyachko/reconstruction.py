@@ -4,15 +4,15 @@ The bridge between characters and monomials: a character m together with a
 divisor lift D names the monomial with exponent vector <m, rho> + D_rho.
 The minimal generators of the saturated ideal are read off the diagram by
 one scan of the exponent box [s, K], visiting only the breakpoints where
-some gap cell starts or ends.  Graded pieces (for H^1) are read off one
-class at a time.
+some gap cell starts or ends.  Graded pieces and H^1 pieces are expanded
+from the member intervals of ``hilbert.walk_fibers``, one class at a time.
 """
 
 import itertools
 
 from .diagram import compute_diagram
-from .errors import InfiniteRegionError, InputError, SearchBoxError
-from .lattice import UnboundedRegionError, enumerate_lattice_points
+from .errors import InputError, SearchBoxError
+from .hilbert import interval_minus, walk_fibers
 from .monomials import MonomialIdeal, monomial_str
 
 
@@ -52,60 +52,14 @@ class GradedPiece:
 def graded_basis(grading, diag, divisor):
     """Monomial basis of the saturated ideal's piece in the lift's class.
 
-    A character m belongs iff <m, rho> + divisor[rho] >= s_rho on every ray
-    and the pairing values avoid the gap region of every maximal cone.
+    A character m belongs iff its exponents <m, rho> + divisor[rho] are
+    nonnegative, clear the floor s and avoid the gap region of every
+    maximal cone.
     """
-    fan = grading.fan
-    if len(divisor) != fan.nrays:
-        raise InputError("divisor length does not match the ray count")
-    s = diag.min_exponents
-    rows = [(tuple(fan.rays[i]), s[i] - int(divisor[i])) for i in range(fan.nrays)]
-    try:
-        candidates = enumerate_lattice_points(rows, fan.dim)
-    except UnboundedRegionError as exc:
-        raise InfiniteRegionError("graded piece is infinite; "
-                                  "the fan cannot be complete") from exc
-    kept = []
-    for m in candidates:
-        values = {i: fan.pairing(m, i) + divisor[i] for i in range(fan.nrays)}
-        if all(not diag.gaps(cone).contains_values(values)
-               for cone in fan.max_cones):
-            kept.append(m)
-    return GradedPiece(fan, grading.degree(divisor), divisor, kept)
-
-
-def is_spanned(fan, m, gens, divisor):
-    """Whether the monomial of m at the lift is a multiple of some generator.
-
-    ``gens`` holds (character, lift) pairs; divisibility of the underlying
-    monomials reads as pairing inequalities on every ray.
-    """
-    for mg, liftg in gens:
-        if all(fan.pairing(m, i) + divisor[i] >= fan.pairing(mg, i) + liftg[i]
-               for i in range(fan.nrays)):
-            return True
-    return False
-
-
-def span_set(fan, gens, divisor, candidates=None):
-    """Characters at the lift whose monomials are multiples of the given ones.
-
-    With ``candidates`` the search is restricted to that list; otherwise the
-    full (finite) set of multiples is enumerated.
-    """
-    if candidates is not None:
-        return tuple(m for m in candidates if is_spanned(fan, m, gens, divisor))
-    out = set()
-    for mg, liftg in gens:
-        rows = [(tuple(fan.rays[i]),
-                 fan.pairing(mg, i) + int(liftg[i]) - int(divisor[i]))
-                for i in range(fan.nrays)]
-        try:
-            out.update(enumerate_lattice_points(rows, fan.dim))
-        except UnboundedRegionError as exc:
-            raise InfiniteRegionError("span is infinite; "
-                                      "the fan cannot be complete") from exc
-    return tuple(sorted(out))
+    kept = [prefix + (t,)
+            for prefix, _, _, sat, _ in walk_fibers(grading.fan, diag, divisor)
+            for lo, hi in sat for t in range(lo, hi + 1)]
+    return GradedPiece(grading.fan, grading.degree(divisor), divisor, kept)
 
 
 def exponent_caps(fan, diag):
@@ -221,16 +175,16 @@ def local_cohomology_h1(grading, ideal, divisor, diag=None):
     """Basis of the degree-[divisor] piece of the first local cohomology.
 
     The piece is the saturation's piece minus the ideal's own monomials,
-    which are exactly the span of the generators.
+    which are the multiples of its generators.
     """
     fan = grading.fan
     if ideal.is_zero():
         raise InputError("the zero ideal has no local cohomology here")
+    if ideal.nvars != fan.nrays:
+        raise InputError("ideal and fan have different numbers of variables")
     if diag is None:
         diag = compute_diagram(fan, ideal)
-    sat = graded_basis(grading, diag, divisor)
-    origin = (0,) * fan.dim
-    gens = [(origin, g) for g in ideal.gens]
-    covered = set(span_set(fan, gens, divisor, candidates=sat.characters))
-    remaining = [m for m in sat.characters if m not in covered]
-    return GradedPiece(fan, grading.degree(divisor), tuple(divisor), remaining)
+    kept = [prefix + (t,)
+            for prefix, _, _, sat, cut in walk_fibers(fan, diag, divisor, ideal.gens)
+            for lo, hi in interval_minus(sat, cut) for t in range(lo, hi + 1)]
+    return GradedPiece(fan, grading.degree(divisor), tuple(divisor), kept)

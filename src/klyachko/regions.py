@@ -371,9 +371,3 @@ def section_fibers(fan, divisor):
     except UnboundedRegionError as exc:
         raise InfiniteRegionError(
             "section polytope is unbounded; the fan is not complete") from exc
-
-
-def polytope_points(fan, divisor):
-    """All characters of the section polytope of the divisor, sorted."""
-    return [prefix + (t,) for prefix, lo, hi in section_fibers(fan, divisor)
-            for t in range(lo, hi + 1)]

@@ -196,6 +196,16 @@ def test_check_failure_exit_code(capsys, monkeypatch, files):
     assert "FAIL membership" in captured.out
 
 
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_check_random_count_exit_code(capsys, tmp_path, count):
+    report = tmp_path / "report.json"
+    rc = main(["check", "P2", "--random", count, "--out", str(report)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error:" in captured.err
+    assert captured.out == "" and not report.exists()
+
+
 def test_render_ascii(capsys, files):
     path = files("ex.json", {"gens": EX_GENS})
     rc = main(["render", "P2", path])

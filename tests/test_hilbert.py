@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klyachko import (InputError, MonomialIdeal, compute_diagram, compute_grading,
-                      constant_hilbert_poly, hilbert_oracle, hilbert_value,
-                      hilbert_value_general, hirzebruch, product_of_projective_spaces,
-                      projective_space, ring_dimension, saturate_oracle)
+                      constant_hilbert_poly, graded_basis, hilbert_oracle,
+                      hilbert_value, hilbert_value_general, hirzebruch,
+                      local_cohomology_h1, monomials_of_degree,
+                      product_of_projective_spaces, projective_space,
+                      ring_dimension, saturate_oracle)
 from klyachko.monomials import degree_window
 
 P2_GENS = [(0, 0, 2), (1, 0, 1), (1, 1, 0)]
@@ -108,6 +110,17 @@ def test_large_degrees_are_counted(p2, p2_grading, p3, p3_grading):
     assert ring_dimension(p2_grading, (1000,)) == 1001 * 1002 // 2
 
 
+def test_h1_large_degrees(p2_grading, p3_grading):
+    # the pieces vanish far out; listing the degree-5000 monomials of the
+    # plane alone would take 12.5 million points
+    socle = MonomialIdeal([(2, 0, 0), (1, 1, 0), (1, 0, 1)])  # x0*(x0, x1, x2)
+    piece = local_cohomology_h1(p2_grading, socle, p2_grading.canonical_lift((5000,)))
+    assert piece.dimension == 0
+    piece = local_cohomology_h1(p3_grading, MonomialIdeal(P3_GENS),
+                                p3_grading.canonical_lift((120,)))
+    assert piece.dimension == 0
+
+
 PROPERTY_FANS = [projective_space(2), hirzebruch(3),
                  product_of_projective_spaces(1, 1), projective_space(3),
                  product_of_projective_spaces(2, 2)]
@@ -135,3 +148,20 @@ def test_hilbert_value_matches_oracle(case):
     for degree in degrees:
         assert hilbert_value(grading, diag, degree) == \
             hilbert_oracle(sat, grading, degree), degree
+
+
+@settings(max_examples=30)
+@given(fans_and_ideals())
+def test_h1_matches_oracle(case):
+    fan, ideal = case
+    grading = compute_grading(fan)
+    diag = compute_diagram(fan, ideal)
+    sat = saturate_oracle(ideal, fan)
+    for degree in degree_window(grading, ideal):
+        lift = grading.canonical_lift(degree)
+        in_sat = [e for e in monomials_of_degree(grading, degree) if e in sat]
+        h1 = local_cohomology_h1(grading, ideal, lift, diag=diag)
+        assert sorted(h1.monomials()) == \
+            sorted(e for e in in_sat if e not in ideal), degree
+        assert sorted(graded_basis(grading, diag, lift).monomials()) == \
+            sorted(in_sat), degree

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klyachko.lattice import (UnboundedRegionError, count_lattice_points,
                               enumerate_lattice_points, normalize_row)
@@ -78,21 +79,27 @@ def test_enumerate_simplex_3d():
     assert count_lattice_points(rows, 3) == 20
 
 
-def test_enumerate_random_vs_brute():
-    rng = random.Random(17)
-    for _ in range(40):
-        d = rng.randint(1, 3)
-        rows = [tuple(rng.randint(-3, 3) for _ in range(d))
-                for _ in range(rng.randint(2, 5))]
-        rows = [(c, rng.randint(-6, 6)) for c in rows]
-        # keep the region inside a box so it is bounded
-        for i in range(d):
-            unit = tuple(1 if j == i else 0 for j in range(d))
-            rows.append((unit, -7))
-            rows.append((tuple(-x for x in unit), -7))
-        pts = enumerate_lattice_points(rows, d)
-        assert pts == brute(rows, d, width=9)
-        assert count_lattice_points(rows, d) == len(pts)
+@st.composite
+def boxed_systems(draw):
+    d = draw(st.integers(1, 3))
+    coeffs = st.tuples(*[st.integers(-3, 3)] * d)
+    rows = draw(st.lists(st.tuples(coeffs, st.integers(-6, 6)),
+                         min_size=2, max_size=5))
+    # keep the region inside a box so it is bounded
+    for i in range(d):
+        unit = tuple(1 if j == i else 0 for j in range(d))
+        rows.append((unit, -7))
+        rows.append((tuple(-x for x in unit), -7))
+    return rows, d
+
+
+@settings(max_examples=40)
+@given(boxed_systems())
+def test_enumerate_random_vs_brute(case):
+    rows, d = case
+    pts = enumerate_lattice_points(rows, d)
+    assert pts == brute(rows, d, width=9)
+    assert count_lattice_points(rows, d) == len(pts)
 
 
 def test_skewed_lattice_region():

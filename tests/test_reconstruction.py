@@ -8,10 +8,9 @@ from klyachko import (Cell, InputError, KlyachkoDiagram, LatticeRegion,
                       compute_grading, graded_basis, hilbert_oracle, hirzebruch,
                       local_cohomology_h1, minimal_generator_exponents,
                       monomials_of_degree, product_of_projective_spaces,
-                      projective_space, reconstruct_generators, saturate_oracle,
-                      span_set)
+                      projective_space, reconstruct_generators, saturate_oracle)
 from klyachko.diagram import ConeEntry, support_region
-from klyachko.reconstruction import exponent_caps, is_spanned
+from klyachko.reconstruction import exponent_caps
 
 # already-saturated running example on the plane: (x0*x2, x1*x2, x0*x1^2)
 P2_SAT = [(1, 0, 1), (0, 1, 1), (1, 2, 0)]
@@ -111,33 +110,18 @@ def test_graded_basis_h3(h3, h3_grading):
 def test_graded_basis_bad_divisor(p2_grading, p2_given):
     with pytest.raises(InputError):
         graded_basis(p2_grading, p2_given, (1, 0))
+    with pytest.raises(InputError):
+        local_cohomology_h1(p2_grading, MonomialIdeal(P2_SAT), (1, 0),
+                            diag=p2_given)
 
 
-def test_span_set_empty_generators(p3):
-    assert span_set(p3, [], (2, 0, 0, 0)) == ()
-    assert span_set(p3, [], (2, 0, 0, 0), candidates=[(0, 0, 0)]) == ()
-
-
-def test_span_set_p3_degree_two(p3, p3_grading, p3_given):
+def test_span_set_p3_degree_two(p3_grading, p3_given):
+    # the multiples of x1 are four of the six degree-two monomials of I^sat
     piece = graded_basis(p3_grading, p3_given, (2, 0, 0, 0))
     assert piece.dimension == 6
-    gens = [((1, 0, 0), (1, 0, 0, 0))]  # the character of x1 in degree one
-    spanned = span_set(p3, gens, (2, 0, 0, 0))
-    assert len(spanned) == 4
-    restricted = span_set(p3, gens, (2, 0, 0, 0), candidates=piece.characters)
-    assert set(restricted) == set(spanned) & set(piece.characters)
-    left = [m for m in piece.characters if m not in set(spanned)]
-    survivors = {piece.exponents(m) for m in left}
-    assert survivors == {(0, 0, 2, 0), (0, 0, 1, 1)}
-
-
-def test_span_inside_graded_basis(p2, p2_grading, p2_given):
-    origin = (0, 0)
-    gens = [(origin, g) for g in P2_SAT]
-    for u in [(2,), (3,), (4,)]:
-        lift = p2_grading.canonical_lift(u)
-        piece = graded_basis(p2_grading, p2_given, lift)
-        assert set(span_set(p2, gens, lift)) <= set(piece.characters)
+    h1 = local_cohomology_h1(p3_grading, MonomialIdeal([(0, 1, 0, 0)]),
+                             (2, 0, 0, 0), diag=p3_given)
+    assert set(h1.monomial_strings()) == {"x2^2", "x2*x3"}
 
 
 def test_exponent_caps_bound_generators(p2, p2_given):
@@ -341,7 +325,8 @@ def test_h1_rejects_zero_ideal(p2_grading):
         local_cohomology_h1(p2_grading, MonomialIdeal([], nvars=3), (1, 0, 0))
 
 
-def test_is_spanned_basic(p2):
-    gens = [((0, 0), (1, 0, 1))]
-    assert is_spanned(p2, (0, 0), gens, (2, 0, 1))
-    assert not is_spanned(p2, (0, 0), gens, (0, 2, 0))
+def test_h1_rejects_ideal_of_wrong_length(p2_grading, p2_given):
+    for gens in ([(1, 1)], [(1, 1, 0, 0)]):
+        with pytest.raises(InputError):
+            local_cohomology_h1(p2_grading, MonomialIdeal(gens), (2, 0, 0),
+                                diag=p2_given)
