@@ -138,19 +138,17 @@ def compute_diagram(fan, ideal, tie_reverse=False):
             order = sorted(idxs, key=lambda i: (gens[i][last], tie_key(i)))
             levels = [gens[i][last] for i in order]
             n = len(order)
-            pieces = []
+            cells = []
             for j in range(n + 1):
                 lo = s[last] if j == 0 else levels[j - 1]
                 hi = None if j == n else levels[j] - 1
                 if hi is not None and lo > hi:
                     continue
+                band = (last, (lo, hi))
                 inner = delta(sub, tuple(sorted(order[:j])))
-                if inner.is_empty():
-                    continue
-                band = LatticeRegion(cone, [Cell({last: (lo, hi)})])
-                pieces.append(inner.promote(cone) & band)
-            cells = [c for piece in pieces for c in piece.cells]
-            result = LatticeRegion(cone, cells)
+                cells.extend(Cell._of(c.bounds + (band,)) for c in inner.cells)
+            # inner cells leave the last ray free, and the bands are disjoint on it
+            result = LatticeRegion._of(cone, cells)
         memo[key] = result
         return result
 
@@ -190,10 +188,10 @@ def sum_diagram(fan, diag_a, diag_b):
         support = support_region(fan, s, cone)
         ca, da = diag_a.support(cone), diag_a.gaps(cone)
         cb, db = diag_b.support(cone), diag_b.gaps(cone)
-        gaps = ((da & db)
-                | (da & (support - cb))
-                | (db & (support - ca))
-                | (support - (ca | cb)))
+        # pairwise disjoint slabs (da lies in ca, db in cb), so no cell nests
+        slabs = ((da & db), (da & (support - cb)), (db & (support - ca)),
+                 (support - (ca | cb)))
+        gaps = LatticeRegion._of(cone, [c for slab in slabs for c in slab.cells])
         entries[cone] = ConeEntry(support, gaps)
     return KlyachkoDiagram(fan, s, entries)
 

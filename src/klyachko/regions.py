@@ -7,21 +7,19 @@ ray.  ``None`` means the side is unbounded; a ray that is absent from a
 cell is unconstrained.  Lower bounds may be None as well: complements of
 half-spaces show up when differences are taken, so the algebra has to be
 closed under that.
+
+Every region is canonical: its cells are nonempty, pairwise non-nested and
+sorted by ``Cell.sort_key``.  ``LatticeRegion(cone, cells)`` establishes
+this by pruning, as do ``&``, ``|`` and ``-``, whose cells can nest.
+``LatticeRegion._of`` only sorts, for results that preserve it by
+construction: ``promote`` (same cells), ``shift`` (a translation), and the
+pairwise disjoint bands of ``compute_diagram`` and gap slabs of
+``sum_diagram``.
 """
 
 from .errors import InfiniteRegionError, InputError, json_int
 from .lattice import UnboundedRegionError, lattice_fibers
 from .linalg import solve_integer
-
-def _lo_key(v):
-    # None = -infinity sorts first
-    return (0, 0) if v is None else (1, v)
-
-
-def _hi_key(v):
-    # None = +infinity sorts last
-    return (1, 0) if v is None else (0, v)
-
 
 def _isect(a, b):
     lo = b[0] if a[0] is None else a[0] if b[0] is None else max(a[0], b[0])
@@ -34,34 +32,33 @@ def _interval_empty(iv):
     return lo is not None and hi is not None and lo > hi
 
 
-def _interval_within(inner, outer):
-    lo_ok = outer[0] is None or (inner[0] is not None and inner[0] >= outer[0])
-    hi_ok = outer[1] is None or (inner[1] is not None and inner[1] <= outer[1])
-    return lo_ok and hi_ok
-
-
 class Cell:
     """One box: a finite map ray index -> (lo, hi) interval of pairings."""
 
     __slots__ = ("bounds",)
 
     def __init__(self, bounds):
-        if isinstance(bounds, dict):
-            items = bounds.items()
-        else:
-            items = bounds
-        cleaned = []
-        for ray, iv in items:
-            lo, hi = iv
-            if lo is None and hi is None:
-                continue
-            cleaned.append((int(ray), (None if lo is None else int(lo),
-                                       None if hi is None else int(hi))))
-        cleaned.sort()
-        rays = [r for r, _ in cleaned]
-        if len(set(rays)) != len(rays):
+        items = bounds.items() if isinstance(bounds, dict) else bounds
+        cleaned = [(json_int(ray, "cell ray"),
+                    tuple(None if v is None else json_int(v, "cell bound") for v in (lo, hi)))
+                   for ray, (lo, hi) in items]
+        if len({r for r, _ in cleaned}) != len(cleaned):
             raise InputError("cell constrains a ray twice")
-        self.bounds = tuple(cleaned)
+        self.bounds = tuple(sorted(b for b in cleaned if b[1] != (None, None)))
+
+    @classmethod
+    def _of(cls, bounds):
+        """A cell from ray-sorted bounds, none of them (None, None); no checks."""
+        cell = object.__new__(cls)
+        cell.bounds = bounds
+        return cell
+
+    @classmethod
+    def _with(cls, bounds, ray, iv):
+        """The cell of the ray -> interval map ``bounds`` with ``ray`` set to ``iv``."""
+        merged = dict(bounds)
+        merged[ray] = iv
+        return cls._of(tuple(sorted(merged.items())))
 
     def interval(self, ray):
         for r, iv in self.bounds:
@@ -87,15 +84,23 @@ class Cell:
 
     def within(self, other):
         """Whether this box is contained in ``other``."""
-        return all(_interval_within(self.interval(ray), iv)
-                   for ray, iv in other.bounds)
+        mine = dict(self.bounds)
+        for ray, (lo, hi) in other.bounds:
+            ilo, ihi = mine.get(ray, (None, None))
+            if (lo is not None and (ilo is None or ilo < lo)
+                    or hi is not None and (ihi is None or ihi > hi)):
+                return False
+        return True
 
     def intersect(self, other):
         merged = dict(self.bounds)
         for ray, iv in other.bounds:
-            merged[ray] = _isect(merged.get(ray, (None, None)), iv)
-        cell = Cell(merged)
-        return None if cell.is_empty() else cell
+            if ray in merged:
+                iv = _isect(merged[ray], iv)
+                if _interval_empty(iv):
+                    return None
+            merged[ray] = iv
+        return Cell._of(tuple(sorted(merged.items())))
 
     def minus(self, other):
         """This box minus another, as a list of disjoint boxes."""
@@ -103,26 +108,23 @@ class Cell:
             return [self]
         pieces = []
         current = dict(self.bounds)
-        for ray in other.rays():
-            blo, bhi = other.interval(ray)
+        for ray, (blo, bhi) in other.bounds:
             alo, ahi = current.get(ray, (None, None))
             if blo is not None:
                 below = (alo, blo - 1 if ahi is None else min(ahi, blo - 1))
                 if not _interval_empty(below):
-                    piece = dict(current)
-                    piece[ray] = below
-                    pieces.append(Cell(piece))
+                    pieces.append(Cell._with(current, ray, below))
             if bhi is not None:
                 above = (bhi + 1 if alo is None else max(alo, bhi + 1), ahi)
                 if not _interval_empty(above):
-                    piece = dict(current)
-                    piece[ray] = above
-                    pieces.append(Cell(piece))
+                    pieces.append(Cell._with(current, ray, above))
             current[ray] = _isect((alo, ahi), (blo, bhi))
         return pieces
 
     def sort_key(self):
-        return tuple((ray, _lo_key(lo), _hi_key(hi)) for ray, (lo, hi) in self.bounds)
+        # a lower None (-infinity) sorts first, an upper None (+infinity) last
+        return tuple((ray, lo is not None, lo or 0, hi is None, hi or 0)
+                     for ray, (lo, hi) in self.bounds)
 
     def __eq__(self, other):
         return isinstance(other, Cell) and self.bounds == other.bounds
@@ -147,8 +149,7 @@ class Cell:
                 raise InputError(f"malformed cell data: ray {key!r}")
             if not isinstance(iv, list) or len(iv) != 2:
                 raise InputError(f"malformed cell data: interval {iv!r}")
-            bounds[int(key)] = tuple(None if v is None else json_int(v, "cell bound")
-                                     for v in iv)
+            bounds[int(key)] = iv
         return cls(bounds)
 
 
@@ -176,9 +177,22 @@ class LatticeRegion:
 
     def __init__(self, cone, cells):
         self.cone = tuple(cone)
-        pruned = _prune(list(cells))
+        cells = list(cells)
+        for cell in cells:
+            if not set(cell.rays()) <= set(self.cone):
+                raise InputError(f"cell {cell!r} constrains a ray outside "
+                                 f"the cone {self.cone}")
+        pruned = _prune(cells)
         pruned.sort(key=Cell.sort_key)
         self.cells = tuple(pruned)
+
+    @classmethod
+    def _of(cls, cone, cells):
+        """A region from nonempty, pairwise non-nested cells: only sorts."""
+        region = object.__new__(cls)
+        region.cone = tuple(cone)
+        region.cells = tuple(sorted(cells, key=Cell.sort_key))
+        return region
 
     @classmethod
     def empty(cls, cone):
@@ -235,19 +249,16 @@ class LatticeRegion:
         """Reinterpret over a larger cone (no change to the constraints)."""
         if not set(self.cone) <= set(cone):
             raise InputError(f"cannot promote region from cone {self.cone} to {cone}")
-        return LatticeRegion(cone, self.cells)
+        return LatticeRegion._of(cone, self.cells)
 
     def shift(self, fan, vector):
-        """Translate by a lattice vector: bounds move by <vector, rho>."""
-        out = []
-        for cell in self.cells:
-            moved = {}
-            for ray, (lo, hi) in cell.bounds:
-                d = fan.pairing(vector, ray)
-                moved[ray] = (None if lo is None else lo + d,
-                              None if hi is None else hi + d)
-            out.append(Cell(moved))
-        return LatticeRegion(self.cone, out)
+        """Translate by a lattice vector: bounds move by <vector, rho>, order kept."""
+        move = {ray: fan.pairing(vector, ray) for ray in self.cone}
+        return LatticeRegion._of(self.cone, [
+            Cell._of(tuple((ray, (None if lo is None else lo + move[ray],
+                                  None if hi is None else hi + move[ray]))
+                           for ray, (lo, hi) in cell.bounds))
+            for cell in self.cells])
 
     def disjoint_cells(self):
         """Pairwise disjoint cells with the same union, for counting."""
@@ -277,10 +288,6 @@ class LatticeRegion:
             cells = [Cell.from_json(c) for c in obj["cells"]]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed region data: {exc}") from exc
-        for cell in cells:
-            if not set(cell.rays()) <= set(cone):
-                raise InputError(f"cell {cell!r} constrains a ray outside "
-                                 f"the cone {cone}")
         return cls(cone, cells)
 
     def __repr__(self):

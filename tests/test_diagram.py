@@ -3,10 +3,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klyachko import (InputError, KlyachkoDiagram, LatticeRegion,
                       MonomialIdeal, compute_diagram, gaps_by_definition,
-                      ideal_sum, shift_diagram, sum_diagram)
+                      hirzebruch, ideal_sum, named_fan, product_of_projective_spaces,
+                      projective_space, regions, shift_diagram, sum_diagram)
 
 # running example on the projective plane: I = (x2^2, x0*x2, x0*x1)
 P2_GENS = [(0, 0, 2), (1, 0, 1), (1, 1, 0)]
@@ -155,3 +157,64 @@ def test_rejects_bad_input(p2):
         compute_diagram(p2, MonomialIdeal([], nvars=3))
     with pytest.raises(InputError):
         compute_diagram(p2, MonomialIdeal([(1, 0, 0, 0)]))
+
+
+CANONICAL_FANS = [projective_space(2), hirzebruch(3),
+                  product_of_projective_spaces(1, 1), projective_space(3),
+                  product_of_projective_spaces(2, 2)]
+
+
+@st.composite
+def fans_ideal_pairs(draw):
+    fan = draw(st.sampled_from(CANONICAL_FANS))
+    exponents = st.tuples(*[st.integers(0, 3)] * fan.nrays)
+    first, second = (MonomialIdeal(draw(st.lists(exponents, min_size=1, max_size=4)))
+                     for _ in range(2))
+    divisor = draw(st.tuples(*[st.integers(-3, 3)] * fan.nrays))
+    return fan, first, second, divisor
+
+
+@settings(max_examples=40)
+@given(fans_ideal_pairs())
+def test_built_regions_are_canonical(case):
+    # compute, sum and shift skip the prune; rebuilding through the pruning
+    # constructor must give back the same cells
+    fan, first, second, divisor = case
+    diags = [compute_diagram(fan, first), compute_diagram(fan, second)]
+    diags.append(sum_diagram(fan, *diags))
+    entries = [e for d in diags for e in d.entries.values()]
+    entries += shift_diagram(fan, diags[-1], divisor).values()
+    for entry in entries:
+        for region in entry:
+            assert LatticeRegion(region.cone, region.cells).cells == region.cells
+
+
+# cells offered to the prune, for compute + sum + shift on these ideals:
+# 565 on P2xP2 and 374 on P4, where pruning every region built offered 4,946
+# and 2,816
+PRUNE_CASES = [
+    ("P2xP2", [(2, 0, 1, 0, 3, 1), (0, 3, 1, 2, 0, 0), (1, 1, 0, 0, 2, 2), (3, 2, 2, 1, 1, 0)],
+     [(0, 2, 2, 1, 0, 3), (2, 1, 0, 3, 1, 1), (1, 0, 3, 0, 2, 0), (0, 0, 1, 2, 3, 2)],
+     (1, -2, 0, 3, -1, 2), 700),
+    ("P4", [(2, 0, 1, 3, 0), (0, 3, 1, 0, 2), (1, 1, 0, 2, 2), (3, 2, 2, 0, 1)],
+     [(0, 2, 3, 1, 0), (2, 1, 0, 2, 3), (1, 0, 2, 3, 1), (0, 3, 1, 1, 2)],
+     (2, -1, 0, 1, -3), 470),
+]
+
+
+@pytest.mark.parametrize("name,first,second,divisor,bound", PRUNE_CASES,
+                         ids=[case[0] for case in PRUNE_CASES])
+def test_prune_work_is_bounded(monkeypatch, name, first, second, divisor, bound):
+    offered = []
+    prune = regions._prune
+
+    def counting(cells):
+        offered.append(len(cells))
+        return prune(cells)
+
+    monkeypatch.setattr(regions, "_prune", counting)
+    fan = named_fan(name)
+    total = sum_diagram(fan, compute_diagram(fan, MonomialIdeal(first)),
+                        compute_diagram(fan, MonomialIdeal(second)))
+    shift_diagram(fan, total, divisor)
+    assert sum(offered) <= bound

@@ -1,7 +1,7 @@
 import itertools
-import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from klyachko import (Cell, InfiniteRegionError, InputError, LatticeRegion,
                       count_region_points, region_is_finite, region_points)
@@ -19,18 +19,22 @@ def members(region):
             if region.contains_values(dict(zip(region.cone, y)))}
 
 
-def random_region(rng, cone=CONE, max_cells=3):
-    cells = []
-    for _ in range(rng.randint(0, max_cells)):
-        bounds = {}
-        for ray in cone:
-            if rng.random() < 0.3:
-                continue
-            lo = rng.choice([None, rng.randint(-3, 4)])
-            hi = rng.choice([None, rng.randint(-3, 6)])
-            bounds[ray] = (lo, hi)
-        cells.append(Cell(bounds))
-    return LatticeRegion(cone, cells)
+def intervals():
+    # (None, None) leaves the ray unconstrained
+    bound = st.one_of(st.none(), st.integers(-3, 4))
+    return st.tuples(bound, st.one_of(st.none(), st.integers(-3, 6)))
+
+
+def regions(cone=CONE, max_cells=3):
+    cell = st.fixed_dictionaries({ray: intervals() for ray in cone}).map(Cell)
+    return st.lists(cell, max_size=max_cells).map(
+        lambda cells: LatticeRegion(cone, cells))
+
+
+@st.composite
+def region_pairs(draw):
+    cone = draw(st.sampled_from([CONE, (0, 1, 2)]))
+    return draw(regions(cone)), draw(regions(cone))
 
 
 def test_cell_normalization():
@@ -41,6 +45,23 @@ def test_cell_normalization():
     assert Cell({0: (3, 1)}).is_empty()
     with pytest.raises(InputError):
         Cell([(0, (1, 2)), (0, (0, 5))])
+    with pytest.raises(InputError):
+        Cell([(0, (None, None)), (0, (0, 5))])
+
+
+@pytest.mark.parametrize("bounds", [
+    {0: (True, "3")}, {0: (1.7, None)}, {0: (None, "2")}, {"0": (1, 2)},
+    {False: (0, 1)}])
+def test_cell_refuses_non_integers(bounds):
+    with pytest.raises(InputError):
+        Cell(bounds)
+
+
+def test_region_refuses_cells_outside_its_cone():
+    with pytest.raises(InputError):
+        LatticeRegion((0, 1), [Cell({2: (0, 1)})])
+    with pytest.raises(InputError):
+        LatticeRegion.from_json({"cone": [0, 1], "cells": [{"2": [0, 1]}]})
 
 
 def test_cell_contains_values():
@@ -50,18 +71,17 @@ def test_cell_contains_values():
     assert not cell.contains_values({0: 1, 1: 0})
 
 
-def test_region_set_operations_match_pointwise():
-    rng = random.Random(23)
-    for cone, rounds in ((CONE, 120), ((0, 1, 2), 40)):
-        for _ in range(rounds):
-            a, b = random_region(rng, cone), random_region(rng, cone)
-            ma, mb = members(a), members(b)
-            assert members(a & b) == ma & mb
-            assert members(a | b) == ma | mb
-            assert members(a - b) == ma - mb
-            assert a.equivalent(b) == (ma == mb)
-            rebuilt = (a - b) | (a & b)
-            assert rebuilt.equivalent(a) == (members(rebuilt) == ma)
+@settings(max_examples=160)
+@given(region_pairs())
+def test_region_set_operations_match_pointwise(pair):
+    a, b = pair
+    ma, mb = members(a), members(b)
+    assert members(a & b) == ma & mb
+    assert members(a | b) == ma | mb
+    assert members(a - b) == ma - mb
+    assert a.equivalent(b) == (ma == mb)
+    rebuilt = (a - b) | (a & b)
+    assert rebuilt.equivalent(a) == (members(rebuilt) == ma)
 
 
 def test_region_difference_unbounded_below():
@@ -84,16 +104,15 @@ def test_contained_cells_are_pruned():
     assert region.cells == (Cell({0: (0, 5)}),)
 
 
-def test_disjoint_cells_preserve_membership():
-    rng = random.Random(31)
-    for _ in range(60):
-        region = random_region(rng)
-        pieces = region.disjoint_cells()
-        rebuilt = LatticeRegion(CONE, pieces)
-        assert members(rebuilt) == members(region)
-        for i, c in enumerate(pieces):
-            for d in pieces[i + 1:]:
-                assert c.intersect(d) is None
+@settings(max_examples=60)
+@given(regions())
+def test_disjoint_cells_preserve_membership(region):
+    pieces = region.disjoint_cells()
+    rebuilt = LatticeRegion(CONE, pieces)
+    assert members(rebuilt) == members(region)
+    for i, c in enumerate(pieces):
+        for d in pieces[i + 1:]:
+            assert c.intersect(d) is None
 
 
 def test_equivalent_ignores_presentation():
