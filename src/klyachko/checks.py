@@ -14,7 +14,6 @@ import random
 
 from .diagram import compute_diagram, gaps_by_definition, support_region
 from .hilbert import hilbert_value
-from .linalg import solve_integer
 from .monomials import MonomialIdeal, degree_window, hilbert_oracle, saturate_oracle
 from .reconstruction import reconstruct_generators
 from .toric import compute_grading
@@ -54,8 +53,7 @@ def _witness(fan, a, b):
         y.append(lo if lo is not None else hi if hi is not None else 0)
     y = tuple(y)
     if len(a.cone) == fan.dim:
-        m = tuple(solve_integer(fan.cone_matrix(a.cone), list(y)))
-        return f"pairings {y} (character {m})"
+        return f"pairings {y} (character {fan.character(a.cone, y)})"
     return f"pairings {y}"
 
 

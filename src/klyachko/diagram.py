@@ -12,7 +12,6 @@ from collections import namedtuple
 
 from .errors import InputError, json_int
 from .regions import Cell, LatticeRegion
-from .toric import tau_for_cone
 
 ConeEntry = namedtuple("ConeEntry", ["support", "gaps"])
 
@@ -22,7 +21,8 @@ class KlyachkoDiagram:
 
     def __init__(self, fan, min_exponents, entries):
         self.fan = fan
-        self.min_exponents = tuple(int(x) for x in min_exponents)
+        self.min_exponents = tuple(json_int(x, "exponent floor entry")
+                                   for x in min_exponents)
         if len(self.min_exponents) != fan.nrays:
             raise InputError("exponent floor length does not match the ray count")
         self.entries = dict(entries)
@@ -41,11 +41,6 @@ class KlyachkoDiagram:
         entry = self.entries[tuple(cone)]
         return entry.support.contains(self.fan, m) and not entry.gaps.contains(self.fan, m)
 
-    def member_values(self, cone, value_at):
-        entry = self.entries[tuple(cone)]
-        return (entry.support.contains_values(value_at)
-                and not entry.gaps.contains_values(value_at))
-
     def same_memberships(self, other):
         """Set-level equality, ignoring how the cells are presented."""
         if self.fan != other.fan or self.min_exponents != other.min_exponents:
@@ -56,10 +51,6 @@ class KlyachkoDiagram:
             if not self.support(cone).equivalent(other.support(cone)):
                 return False
         return True
-
-    def is_principal(self):
-        """True when every maximal cone has no gaps at all."""
-        return all(self.gaps(c).is_empty() for c in self.fan.max_cones)
 
     def to_json(self):
         cones = {}
@@ -72,7 +63,7 @@ class KlyachkoDiagram:
     @classmethod
     def from_json(cls, fan, obj):
         try:
-            s = [json_int(x, "exponent floor entry") for x in obj["s"]]
+            s = list(obj["s"])
             raw = obj["cones"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed diagram data: {exc}") from exc
@@ -209,7 +200,7 @@ def shift_diagram(fan, diag, divisor):
         raise InputError("divisor length does not match the ray count")
     shifted = {}
     for cone in fan.max_cones:
-        tau = tau_for_cone(fan, cone, divisor)
+        tau = fan.character(cone, [divisor[i] for i in cone])
         neg = tuple(-t for t in tau)
         shifted[cone] = ConeEntry(diag.support(cone).shift(fan, neg),
                                   diag.gaps(cone).shift(fan, neg))

@@ -16,7 +16,7 @@ the members of the ideal as the union of the generator intervals.
 from operator import mul
 
 from .diagram import compute_diagram
-from .errors import InputError
+from .errors import InputError, json_int
 from .regions import count_region_points, region_is_finite, section_fibers
 
 
@@ -97,7 +97,7 @@ def walk_fibers(fan, diag, divisor, gens=()):
     build it.
     """
     slopes = [ray[-1] for ray in fan.rays]
-    divisor = [int(x) for x in divisor]
+    divisor = [json_int(x, "divisor entry") for x in divisor]
     floor = [[(i, (s, None)) for i, s in enumerate(diag.min_exponents)]]
     cells = [cell.bounds for cone in fan.max_cones for cell in diag.gaps(cone).cells]
     gens = [[(i, (x, None)) for i, x in enumerate(g)] for g in gens]

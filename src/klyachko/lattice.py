@@ -7,6 +7,8 @@ by the gcd of its coefficients with the bound rounded up, which preserves
 the integer solution set and keeps numbers small.
 """
 
+import math
+
 
 class UnboundedRegionError(ValueError):
     """The system has points arbitrarily far out along some axis."""
@@ -16,22 +18,13 @@ class UnboundedRegionError(ValueError):
         self.axis = axis
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _ceil_div(a, b):
     # b > 0
     return -((-a) // b)
 
 
 def normalize_row(coeffs, b):
-    g = 0
-    for c in coeffs:
-        if c:
-            g = abs(c) if g == 0 else _gcd(g, abs(c))
+    g = math.gcd(*coeffs)
     if g > 1:
         coeffs = tuple(c // g for c in coeffs)
         b = _ceil_div(b, g)

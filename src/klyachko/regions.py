@@ -19,7 +19,6 @@ pairwise disjoint bands of ``compute_diagram`` and gap slabs of
 
 from .errors import InfiniteRegionError, InputError, json_int
 from .lattice import UnboundedRegionError, lattice_fibers
-from .linalg import solve_integer
 
 def _isect(a, b):
     lo = b[0] if a[0] is None else a[0] if b[0] is None else max(a[0], b[0])
@@ -294,27 +293,14 @@ class LatticeRegion:
         return f"LatticeRegion(cone={self.cone}, cells={list(self.cells)})"
 
 
-def _max_cone_basis(fan, cone):
-    """Inverse of the cone's ray matrix: columns map pairings back to M."""
-    if len(cone) != fan.dim:
-        raise InputError(f"cone {cone} is not maximal")
-    mat = [list(fan.rays[i]) for i in cone]
-    n = fan.dim
-    cols = []
-    for j in range(n):
-        e = [1 if i == j else 0 for i in range(n)]
-        cols.append(solve_integer(mat, e))
-    return cols  # m = sum_j y_j * cols[j]
-
-
 def region_points(fan, region):
     """All characters in a region over a maximal cone, sorted.
 
     Raises InfiniteRegionError (with an offending cell as witness) when some
     cell is unbounded.
     """
-    cols = _max_cone_basis(fan, region.cone)
-    n = fan.dim
+    if len(region.cone) != fan.dim:
+        raise InputError(f"cone {region.cone} is not maximal")
     points = set()
     for cell in region.disjoint_cells():
         ranges = []
@@ -328,9 +314,7 @@ def region_points(fan, region):
         stack = [()]
         for rng in ranges:
             stack = [y + (v,) for y in stack for v in rng]
-        for y in stack:
-            m = tuple(sum(y[j] * cols[j][i] for j in range(n)) for i in range(n))
-            points.add(m)
+        points.update(fan.character(region.cone, y) for y in stack)
     return sorted(points)
 
 
@@ -372,7 +356,7 @@ def section_fibers(fan, divisor):
     """
     if len(divisor) != fan.nrays:
         raise InputError("divisor length does not match the ray count")
-    rows = [(tuple(fan.rays[i]), -int(divisor[i])) for i in range(fan.nrays)]
+    rows = [(ray, -json_int(d, "divisor entry")) for ray, d in zip(fan.rays, divisor)]
     try:
         yield from lattice_fibers(rows, fan.dim)
     except UnboundedRegionError as exc:

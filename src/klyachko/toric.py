@@ -10,25 +10,36 @@ Conventions used throughout the package:
   vector, an int tuple of length ``Fan.nrays``;
 * multidegrees (classes in the class group, which is free of rank
   ``nrays - dim`` here) are int tuples of length ``CoxGrading.rank``.
+
+The class group comes from 0 -> M -> Z^rays -> Cl -> 0, m -> (<m, rho>).
+For a smooth fan everything the toric layer needs of it rests on one
+routine, ``linalg.unimodular_inverse``: the inverse of a maximal cone's
+ray matrix turns pairings back into characters (``Fan.character``), and
+the inverse of the rays outside a class-group basis grades the Cox ring
+(``compute_grading``).  Every integer that enters here is checked with
+``errors.json_int``; nothing is coerced.
 """
 
 import itertools
 import json
+import math
 import re
 
-from . import linalg
 from .errors import InputError, json_int
+from .linalg import dot, unimodular_inverse
 
 
 class Fan:
     """A rational fan given by its rays and maximal cones."""
 
     def __init__(self, dim, rays, max_cones, name=None):
-        self.dim = int(dim)
-        self.rays = tuple(tuple(int(x) for x in ray) for ray in rays)
+        self.dim = json_int(dim, "fan dimension")
+        self.rays = tuple(tuple(json_int(x, "ray entry") for x in ray) for ray in rays)
         self.nrays = len(self.rays)
-        self.max_cones = tuple(sorted(tuple(sorted(int(i) for i in c)) for c in max_cones))
+        self.max_cones = tuple(sorted(tuple(sorted(json_int(i, "cone ray index") for i in c))
+                                      for c in max_cones))
         self.name = name
+        self._inverses = {}
         faces = {()}
         for cone in self.max_cones:
             for k in range(1, len(cone) + 1):
@@ -50,11 +61,26 @@ class Fan:
 
     def pairing(self, m, ray_index):
         """<m, n(rho)> for a character m and a ray index."""
-        return linalg.dot(m, self.rays[ray_index])
+        return dot(m, self.rays[ray_index])
 
-    def cone_matrix(self, cone):
-        """Rows are the ray generators of the cone, in cone order."""
-        return [list(self.rays[i]) for i in cone]
+    def character(self, cone, values):
+        """The character m with <m, rho> = values[k] for the k-th ray rho of a cone.
+
+        The cone must be maximal and unimodular; its inverse ray matrix is
+        computed once and kept on the fan.
+        """
+        inverse = self._inverses.get(cone)
+        if inverse is None:
+            if cone not in self.max_cones:
+                raise InputError(f"cone {cone} is not maximal")
+            inverse = unimodular_inverse([self.rays[i] for i in cone])
+            if inverse is None:
+                raise InputError(f"maximal cone {cone} is not unimodular")
+            self._inverses[cone] = inverse
+        if len(values) != self.dim:
+            raise InputError(f"{len(values)} pairings given for a cone of {self.dim} rays")
+        values = [json_int(v, "pairing") for v in values]
+        return tuple(dot(row, values) for row in inverse)
 
     def validate(self):
         return validate_fan(self)
@@ -72,13 +98,9 @@ class Fan:
     @classmethod
     def from_json(cls, obj, name=None):
         try:
-            dim = json_int(obj["dim"], "fan dimension")
-            rays = [[json_int(x, "ray entry") for x in ray] for ray in obj["rays"]]
-            cones = [[json_int(i, "cone ray index") for i in cone]
-                     for cone in obj["max_cones"]]
+            return cls(obj["dim"], obj["rays"], obj["max_cones"], name=name)
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed fan data: {exc}") from exc
-        return cls(dim, rays, cones, name=name)
 
 
 def validate_fan(fan):
@@ -99,10 +121,7 @@ def validate_fan(fan):
         if not any(ray):
             problems.append(f"ray {i} is zero")
             continue
-        g = 0
-        for x in ray:
-            g = linalg.xgcd(g, x)[0]
-        if g != 1:
+        if math.gcd(*ray) != 1:
             problems.append(f"ray {i} is not primitive")
         if ray in seen:
             problems.append(f"rays {seen[ray]} and {i} coincide")
@@ -121,9 +140,8 @@ def validate_fan(fan):
         if len(cone) != n:
             problems.append(f"maximal cone {cone} has {len(cone)} rays, expected {n}")
             continue
-        d = linalg.det(fan.cone_matrix(cone))
-        if d not in (1, -1):
-            problems.append(f"maximal cone {cone} is not unimodular (det {d})")
+        if unimodular_inverse([fan.rays[i] for i in cone]) is None:
+            problems.append(f"maximal cone {cone} is not unimodular")
     if len(set(fan.max_cones)) != len(fan.max_cones):
         problems.append("repeated maximal cones")
     missing = set(range(fan.nrays)) - used
@@ -159,7 +177,7 @@ class CoxGrading:
 
     def degree(self, vector):
         """Class of an integer divisor/exponent vector (length nrays)."""
-        return tuple(linalg.dot(row, vector) for row in self.deg_matrix)
+        return tuple(dot(row, vector) for row in self.deg_matrix)
 
     def canonical_lift(self, u):
         """The lift of a class u placing u on the basis rays and 0 elsewhere."""
@@ -167,7 +185,7 @@ class CoxGrading:
             raise InputError(f"degree {u} has length {len(u)}, expected {self.rank}")
         lift = [0] * self.fan.nrays
         for coord, ray in zip(u, self.basis_rays):
-            lift[ray] = int(coord)
+            lift[ray] = json_int(coord, "degree entry")
         return tuple(lift)
 
     def variable_degrees(self):
@@ -177,54 +195,31 @@ class CoxGrading:
 
 
 def compute_grading(fan):
-    """Cokernel of M -> Z^rays presented by the ray pairing matrix.
+    """The class-group grading of the Cox ring, read off a unimodular ray basis.
 
-    The smooth complete hypotheses make the cokernel free; the result is
-    normalized so that the lexicographically first ray subset whose divisor
-    classes form a basis carries the identity block.
+    The classes of a ray subset S of size ``nrays - dim`` form a basis of Cl
+    exactly when the other rays form a basis of N.  ``basis_rays`` is the
+    lexicographically first such S, and its columns of the degree matrix
+    are the identity block.  A complement ray c gets the column
+    -(<m_c, rho_s>) over s in S, where m_c is its character in the basis
+    dual to the complement: div(chi^{m_c}) = D_c + sum_s <m_c, rho_s> D_s
+    is principal, so has class 0.  The complement is often not a cone of
+    the fan, so its inverse is taken here rather than by ``Fan.character``.
     """
     n, r = fan.dim, fan.nrays
-    ell = r - n
-    phi = [list(ray) for ray in fan.rays]  # r x n, rows are rays
-    U, D, _ = linalg.smith_normal_form(phi)
-    diag = [D[i][i] for i in range(min(r, n))]
-    if any(d == 0 for d in diag) or len(diag) < n:
-        raise InputError("rays do not span the ambient lattice")
-    if any(d != 1 for d in diag):
-        raise InputError("class group has torsion; the fan cannot be smooth")
-    deg = [U[i] for i in range(n, r)]
-    basis_rays = None
-    for combo in itertools.combinations(range(r), ell):
-        sub = [[deg[i][j] for j in combo] for i in range(ell)]
-        if linalg.det(sub) in (1, -1):
-            basis_rays = combo
+    for basis_rays in itertools.combinations(range(r), r - n):
+        rest = [i for i in range(r) if i not in basis_rays]
+        inverse = unimodular_inverse([fan.rays[i] for i in rest])
+        if inverse is not None:
             break
-    if basis_rays is None:
+    else:
         raise InputError("no ray subset gives a class-group basis")
-    sub = [[deg[i][j] for j in basis_rays] for i in range(ell)]
-    deg = linalg.matmul(linalg.invert_unimodular(sub), deg)
-    for row in deg:
-        if any(linalg.dot(row, col) for col in zip(*phi)):
-            raise InputError("grading does not annihilate the character lattice")
+    deg = [[int(j == s) for j in range(r)] for s in basis_rays]
+    for k, c in enumerate(rest):
+        m_c = [row[k] for row in inverse]
+        for row, s in zip(deg, basis_rays):
+            row[c] = -dot(m_c, fan.rays[s])
     return CoxGrading(fan, deg, basis_rays)
-
-
-def tau_for_cone(fan, cone, divisor):
-    """The unique character pairing to divisor[rho] on every ray of the cone.
-
-    Args:
-        fan: a smooth fan.
-        cone: a maximal cone (tuple of ray indices).
-        divisor: integer vector over all rays (only the cone's entries matter).
-
-    Returns:
-        Character tau with <tau, n(rho)> = divisor[rho] for rho in the cone.
-    """
-    if len(cone) != fan.dim:
-        raise InputError(f"cone {cone} is not maximal")
-    B = fan.cone_matrix(cone)
-    a = [int(divisor[i]) for i in cone]
-    return tuple(linalg.solve_integer(B, a))
 
 
 def projective_space(n):

@@ -1,6 +1,9 @@
 import random
 
-from klyachko import MonomialIdeal, compute_diagram
+import pytest
+from conftest import star_subdivide
+
+from klyachko import MonomialIdeal, compute_diagram, projective_space
 from klyachko.checks import (PROPERTY_NAMES, check_hilbert, check_ideal,
                              check_membership_identity, check_roundtrip,
                              check_saturation_invariance, check_tie_order,
@@ -105,6 +108,20 @@ def test_run_suite_structure(p2):
     for prop in report["properties"]:
         assert prop["status"] == "pass"
         assert prop["failures"] == []
+
+
+@pytest.mark.parametrize("base,faces", [
+    (2, [(1, 2), (0, 1)]),   # P2 blown up at two points: class group of rank 3
+    (3, [(0, 1)]),           # P3 blown up along a line
+])
+def test_run_suite_on_blown_up_fans(base, faces):
+    fan = projective_space(base)
+    for face in faces:
+        fan = star_subdivide(fan, face)
+    assert fan.validate() == []
+    report = run_suite(fan, seed=5, count=10, max_gens=4, max_exp=3)
+    assert report["fan"] == fan.name
+    assert [p["status"] for p in report["properties"]] == ["pass"] * len(PROPERTY_NAMES)
 
 
 def test_run_suite_reports_failures(p2, monkeypatch):

@@ -46,8 +46,6 @@ def test_member_and_member_values(p2, p2_diag):
     assert not p2_diag.member((1, 2), (0, 0))
     assert p2_diag.member((1, 2), (1, 1))
     assert not p2_diag.member((1, 2), (-1, 0))
-    assert not p2_diag.member_values((1, 2), {1: 0, 2: 0})
-    assert p2_diag.member_values((1, 2), {1: 5, 2: 0})
 
 
 @pytest.mark.parametrize("fan_name,gens", [
@@ -80,14 +78,13 @@ def test_gaps_match_definition_random(p2, h3):
 
 def test_principal_ideal(p2):
     diag = compute_diagram(p2, MonomialIdeal([(2, 1, 0)]))
-    assert diag.is_principal()
     assert diag.min_exponents == (2, 1, 0)
     for cone in p2.max_cones:
         assert diag.gaps(cone).is_empty()
 
 
-def test_not_principal(p2_diag):
-    assert not p2_diag.is_principal()
+def test_not_principal(p2, p2_diag):
+    assert any(not p2_diag.gaps(cone).is_empty() for cone in p2.max_cones)
 
 
 def test_sum_matches_direct_computation(p2, h3):

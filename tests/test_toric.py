@@ -1,11 +1,17 @@
+import itertools
 import json
 
 import pytest
+from conftest import blown_up_fans, star_subdivide
+from hypothesis import given, settings
 
-from klyachko import (Fan, InputError, compute_grading, hirzebruch, load_fan,
+from klyachko import (Fan, InputError, KlyachkoDiagram, MonomialIdeal,
+                      compute_diagram, compute_grading, hirzebruch, load_fan,
                       named_fan, product_of_projective_spaces,
                       projective_space, validate_fan)
-from klyachko.toric import tau_for_cone
+from klyachko.hilbert import walk_fibers
+from klyachko.linalg import unimodular_inverse
+from klyachko.regions import section_fibers
 
 
 def test_projective_plane_shape(p2):
@@ -68,7 +74,7 @@ def test_validate_fan_rejects_bad_input():
     assert any("primitive" in msg for msg in validate_fan(fan))
     # non-unimodular cone
     fan = Fan(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
-    assert any("unimodular" in msg for msg in validate_fan(fan))
+    assert "maximal cone (0, 1) is not unimodular" in validate_fan(fan)
     # missing cone: fan is not complete
     fan = Fan(2, [(-1, -1), (1, 0), (0, 1)], [(0, 1), (1, 2)])
     assert validate_fan(fan)
@@ -79,11 +85,73 @@ def test_validate_fan_rejects_bad_input():
 
 def test_tau_for_cone(p2):
     # on the cone spanned by e1, e2 the pairings are the coordinates
-    assert tau_for_cone(p2, (1, 2), (7, 2, -3)) == (2, -3)
-    tau = tau_for_cone(p2, (0, 2), (5, 0, 1))
+    assert p2.character((1, 2), (2, -3)) == (2, -3)
+    tau = p2.character((0, 2), (5, 1))
     assert p2.pairing(tau, 0) == 5 and p2.pairing(tau, 2) == 1
     with pytest.raises(InputError):
-        tau_for_cone(p2, (1,), (0, 0, 0))
+        p2.character((1,), (0,))
+    with pytest.raises(InputError):
+        p2.character((1, 2), (0, 0, 0))
+    skew = Fan(2, [(1, 0), (1, 2), (-1, -1)], [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(InputError, match="not unimodular"):
+        skew.character((0, 1), (0, 0))
+
+
+def _entry_points(p2, bad):
+    grading = compute_grading(p2)
+    diag = compute_diagram(p2, MonomialIdeal([(1, 1, 0)]))
+    return {
+        "fan ray": lambda: Fan(2, [(-1, -1), (1, bad), (0, 1)], p2.max_cones),
+        "fan cone": lambda: Fan(2, p2.rays, [(0, 1), (0, 2), (1, bad)]),
+        "canonical_lift": lambda: grading.canonical_lift((bad,)),
+        "character": lambda: p2.character((1, 2), (0, bad)),
+        "section_fibers": lambda: list(section_fibers(p2, (0, 0, bad))),
+        "walk_fibers": lambda: list(walk_fibers(p2, diag, (0, 0, bad))),
+        "diagram floor": lambda: KlyachkoDiagram(p2, (bad, 0, 0), diag.entries),
+    }
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1"])
+@pytest.mark.parametrize("entry", ["fan ray", "fan cone", "canonical_lift", "character",
+                                   "section_fibers", "walk_fibers", "diagram floor"])
+def test_toric_layer_refuses_non_integers(p2, entry, bad):
+    with pytest.raises(InputError, match="must be an integer"):
+        _entry_points(p2, bad)[entry]()
+
+
+def _is_grading_of(fan, grading):
+    deg, basis = grading.deg_matrix, grading.basis_rays
+    rank = fan.nrays - fan.dim
+    assert grading.rank == rank
+    for k, ray in enumerate(basis):
+        assert [row[ray] for row in deg] == [int(i == k) for i in range(rank)]
+    for row in deg:
+        assert all(sum(d * ray[axis] for d, ray in zip(row, fan.rays)) == 0
+                   for axis in range(fan.dim))
+    for subset in itertools.combinations(range(fan.nrays), rank):
+        rest = [fan.rays[i] for i in range(fan.nrays) if i not in subset]
+        if subset == basis:
+            assert unimodular_inverse(rest) is not None
+            return
+        assert unimodular_inverse(rest) is None
+
+
+@settings(max_examples=60)
+@given(blown_up_fans())
+def test_grading_of_blown_up_fans(fan):
+    assert fan.validate() == []
+    _is_grading_of(fan, compute_grading(fan))
+
+
+def test_blown_up_plane_grading():
+    # P2 blown up at two torus-fixed points; rank 3
+    fan = star_subdivide(star_subdivide(projective_space(2), (1, 2)), (0, 1))
+    assert fan.rays == ((-1, -1), (1, 0), (0, 1), (1, 1), (0, -1))
+    assert fan.validate() == []
+    grading = compute_grading(fan)
+    assert grading.basis_rays == (0, 1, 2)
+    assert grading.deg_matrix == ((1, 0, 0, 1, 0), (0, 1, 0, -1, -1), (0, 0, 1, 0, 1))
+    _is_grading_of(fan, grading)
 
 
 def test_named_fan_catalog():
