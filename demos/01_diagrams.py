@@ -49,7 +49,7 @@ other = MonomialIdeal([(0, 2, 4), (0, 3, 1), (0, 5, 0)])
 combined = sum_diagram(p2, diag, compute_diagram(p2, other))
 direct = compute_diagram(p2, ideal_sum(ideal, other))
 print("sum rule agrees with direct computation:",
-      combined.same_memberships(direct))
+      combined.difference(direct) is None)
 
 # Twisting the ideal by a divisor translates every cone's data.  The
 # entries below are the (0,2) cone's gaps after twisting by one power

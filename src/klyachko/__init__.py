@@ -17,8 +17,7 @@ from .monomials import (MonomialIdeal, hilbert_oracle, ideal_intersect,
 from .reconstruction import (GradedPiece, graded_basis, local_cohomology_h1,
                              minimal_generator_exponents,
                              reconstruct_generators)
-from .regions import (Cell, LatticeRegion, count_region_points,
-                      region_is_finite, region_points)
+from .regions import Cell, LatticeRegion, count_region_points, region_points
 from .render import ascii_diagram, svg_diagram
 from .toric import (CoxGrading, Fan, compute_grading, hirzebruch, load_fan,
                     named_fan, product_of_projective_spaces, projective_space,
@@ -36,7 +35,7 @@ __all__ = [
     "load_fan", "local_cohomology_h1", "minimal_generator_exponents",
     "minimalize", "monomial_str", "monomials_of_degree", "named_fan",
     "product_of_projective_spaces", "projective_space",
-    "reconstruct_generators", "region_is_finite", "region_points",
+    "reconstruct_generators", "region_points",
     "ring_dimension", "saturate_oracle", "shift_diagram", "sum_diagram",
     "svg_diagram", "validate_fan",
 ]

@@ -1,18 +1,19 @@
 """Randomized cross-validation of the diagram pipelines against brute force.
 
-The region identities behind the package are decided exactly in the
-region algebra: two regions agree when both differences ``a - b`` and
-``b - a`` are empty, so every check is a proof over all of ``M``, not
-evidence on a finite window.  When two regions disagree, the witness is a
-corner of the first cell of a nonempty difference, given in the cone's
-pairing coordinates and, on maximal cones, as a character.  The Hilbert
-check compares values on the generator classes padded by a couple of steps
-in every class coordinate.
+The membership, saturation and tie checks each build a reference diagram
+and take its ``KlyachkoDiagram.difference`` from the computed one, so each
+is decided exactly over all of ``M``, not on a finite window.  The witness
+is a corner of the difference cell, in the cone's pairing coordinates and,
+on maximal cones, as a character.  The Hilbert check compares values on
+the generator classes padded by a couple of steps in every class
+coordinate.  ``check_report`` reports all five properties over a list of
+ideals, for the random suite and for ``klyachko check FAN IDEAL`` alike.
 """
 
 import random
 
-from .diagram import compute_diagram, gaps_by_definition, support_region
+from .diagram import (ConeEntry, KlyachkoDiagram, compute_diagram,
+                      gaps_by_definition, support_region)
 from .hilbert import hilbert_value
 from .monomials import MonomialIdeal, degree_window, hilbert_oracle, saturate_oracle
 from .reconstruction import reconstruct_generators
@@ -27,34 +28,22 @@ def random_ideal(rng, nvars, max_gens=5, max_exp=5):
     return MonomialIdeal(gens, nvars=nvars)
 
 
-def _difference(a, b):
-    """The first cell of ``a - b`` or of ``b - a``; None if the regions agree."""
-    if a.cells == b.cells:
-        # regions are stored pruned and sorted, so this is the common case
-        return None
-    for rest in (a - b, b - a):
-        if rest.cells:
-            return rest.cells[0]
-    return None
+def _witness(fan, diag, reference):
+    """(cone, part, spot) where two diagrams differ, or None if they agree.
 
-
-def _witness(fan, a, b):
-    """Where two regions over one cone differ, or None if they agree.
-
-    The witness is a corner of a difference cell: pairings and, on maximal
+    ``spot`` is a corner of the difference cell: pairings and, on maximal
     cones, the character m.
     """
-    cell = _difference(a, b)
-    if cell is None:
+    found = diag.difference(reference)
+    if found is None:
         return None
-    y = []
-    for ray in a.cone:
-        lo, hi = cell.interval(ray)
-        y.append(lo if lo is not None else hi if hi is not None else 0)
-    y = tuple(y)
-    if len(a.cone) == fan.dim:
-        return f"pairings {y} (character {fan.character(a.cone, y)})"
-    return f"pairings {y}"
+    cone, part, cell = found
+    y = tuple(lo if lo is not None else hi if hi is not None else 0
+              for lo, hi in map(cell.interval, cone))
+    spot = f"pairings {y}"
+    if len(cone) == fan.dim:
+        spot += f" (character {fan.character(cone, y)})"
+    return cone, part, spot
 
 
 def check_membership_identity(fan, ideal, diag=None):
@@ -67,15 +56,15 @@ def check_membership_identity(fan, ideal, diag=None):
     if diag is None:
         diag = compute_diagram(fan, ideal)
     s = ideal.min_exponents()
-    for cone in fan.cones:
-        if not cone:
-            continue
-        for mine, truth in ((diag.gaps(cone), gaps_by_definition(fan, ideal, cone)),
-                            (diag.support(cone), support_region(fan, s, cone))):
-            spot = _witness(fan, mine, truth)
-            if spot is not None:
-                return f"cone {cone}: membership differs at {spot}"
-    return None
+    reference = KlyachkoDiagram(fan, s, {
+        cone: ConeEntry(support_region(fan, s, cone),
+                        gaps_by_definition(fan, ideal, cone))
+        for cone in fan.cones})
+    found = _witness(fan, diag, reference)
+    if found is None:
+        return None
+    cone, _, spot = found
+    return f"cone {cone}: membership differs at {spot}"
 
 
 def check_roundtrip(fan, grading, ideal, diag=None):
@@ -111,36 +100,26 @@ def check_hilbert(fan, grading, ideal, diag=None, pad=None):
 
 def check_saturation_invariance(fan, ideal, diag=None):
     """Diagram of I == diagram of its saturation, as sets of characters."""
-    sat = saturate_oracle(ideal, fan)
     if diag is None:
         diag = compute_diagram(fan, ideal)
-    diag_sat = compute_diagram(fan, sat)
-    if diag.min_exponents != diag_sat.min_exponents:
-        return (f"exponent floors differ: {diag.min_exponents} vs "
-                f"{diag_sat.min_exponents}")
-    for cone in fan.cones:
-        if not cone:
-            continue
-        for part in ("support", "gaps"):
-            spot = _witness(fan, getattr(diag, part)(cone),
-                            getattr(diag_sat, part)(cone))
-            if spot is not None:
-                return f"cone {cone}: {part} regions differ at {spot}"
-    return None
+    reference = compute_diagram(fan, saturate_oracle(ideal, fan))
+    found = _witness(fan, diag, reference)
+    if found is None:
+        return None
+    cone, part, spot = found
+    return f"cone {cone}: {part} regions differ at {spot}"
 
 
 def check_tie_order(fan, ideal, diag=None):
     """Gap sets must not depend on how equal generator levels are ordered."""
     if diag is None:
         diag = compute_diagram(fan, ideal)
-    other = compute_diagram(fan, ideal, tie_reverse=True)
-    for cone in fan.cones:
-        if not cone:
-            continue
-        spot = _witness(fan, diag.gaps(cone), other.gaps(cone))
-        if spot is not None:
-            return f"cone {cone}: gap sets disagree at {spot}"
-    return None
+    reference = compute_diagram(fan, ideal, tie_reverse=True)
+    found = _witness(fan, diag, reference)
+    if found is None:
+        return None
+    cone, part, spot = found
+    return f"cone {cone}: {part} regions depend on the tie order at {spot}"
 
 
 PROPERTY_NAMES = ("membership", "roundtrip", "hilbert", "saturation", "ties")
@@ -158,13 +137,11 @@ def check_ideal(fan, grading, ideal):
     }
 
 
-def run_suite(fan, seed=0, count=100, max_gens=5, max_exp=5):
-    """Seeded random-ideal suite; returns a JSON-ready report dict."""
-    rng = random.Random(seed)
+def check_report(fan, ideals, seed=None):
+    """All five properties over numbered ideals, as a JSON-ready report dict."""
     grading = compute_grading(fan)
     failures = {name: [] for name in PROPERTY_NAMES}
-    for case in range(count):
-        ideal = random_ideal(rng, fan.nrays, max_gens=max_gens, max_exp=max_exp)
+    for case, ideal in enumerate(ideals):
         outcome = check_ideal(fan, grading, ideal)
         for name in PROPERTY_NAMES:
             if outcome[name] is not None:
@@ -173,7 +150,7 @@ def run_suite(fan, seed=0, count=100, max_gens=5, max_exp=5):
                      "witness": outcome[name]})
     return {
         "fan": fan.name or "custom",
-        "cases": count,
+        "cases": len(ideals),
         "seed": seed,
         "properties": [
             {"name": name,
@@ -182,3 +159,11 @@ def run_suite(fan, seed=0, count=100, max_gens=5, max_exp=5):
             for name in PROPERTY_NAMES
         ],
     }
+
+
+def run_suite(fan, seed=0, count=100, max_gens=5, max_exp=5):
+    """Seeded random-ideal suite; returns a JSON-ready report dict."""
+    rng = random.Random(seed)
+    ideals = [random_ideal(rng, fan.nrays, max_gens=max_gens, max_exp=max_exp)
+              for _ in range(count)]
+    return check_report(fan, ideals, seed=seed)

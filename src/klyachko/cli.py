@@ -12,7 +12,7 @@ import os
 import re
 import sys
 
-from .checks import check_ideal, run_suite
+from .checks import check_report, run_suite
 from .diagram import KlyachkoDiagram, compute_diagram, sum_diagram
 from .errors import InputError, KlyachkoError, SearchBoxError
 from .hilbert import constant_hilbert_poly, hilbert_value
@@ -82,14 +82,15 @@ def _load_ideal(path, fan):
     return ideal
 
 
-def _load_ideal_or_diagram(path, fan):
+def _load_diagram(path, fan):
+    """The diagram of a diagram file, or that of the ideal of an ideal file."""
     obj = _read_json(path)
     if isinstance(obj, dict) and "cones" in obj:
-        return None, KlyachkoDiagram.from_json(fan, obj)
+        return KlyachkoDiagram.from_json(fan, obj)
     ideal = MonomialIdeal.from_json(obj, nvars=fan.nrays)
     if ideal.is_zero():
         raise InputError(f"{path}: the ideal has no generators")
-    return ideal, None
+    return compute_diagram(fan, ideal)
 
 
 def _emit(payload, out):
@@ -118,9 +119,7 @@ def cmd_diagram(args):
 def cmd_saturate(args):
     fan = load_fan(args.fan)
     grading = compute_grading(fan)
-    ideal, diag = _load_ideal_or_diagram(args.input, fan)
-    if diag is None:
-        diag = compute_diagram(fan, ideal)
+    diag = _load_diagram(args.input, fan)
     box = _parse_ranges(args.box, grading.rank, "--box") if args.box else None
     sat = reconstruct_generators(grading, diag, search_box=box)
     _emit(sat.to_json(), args.out)
@@ -171,22 +170,7 @@ def cmd_sum(args):
 def cmd_check(args):
     fan = load_fan(args.fan)
     if args.ideal:
-        grading = compute_grading(fan)
-        ideal = _load_ideal(args.ideal, fan)
-        outcome = check_ideal(fan, grading, ideal)
-        report = {
-            "fan": fan.name or "custom",
-            "cases": 1,
-            "seed": None,
-            "properties": [
-                {"name": name,
-                 "status": "pass" if outcome[name] is None else "fail",
-                 "failures": ([] if outcome[name] is None else
-                              [{"case": 0, "gens": [list(g) for g in ideal.gens],
-                                "witness": outcome[name]}])}
-                for name in sorted(outcome)
-            ],
-        }
+        report = check_report(fan, [_load_ideal(args.ideal, fan)])
     else:
         if args.random < 1:
             raise InputError(f"--random must be at least 1, got {args.random}")
@@ -206,9 +190,7 @@ def cmd_check(args):
 
 def cmd_render(args):
     fan = load_fan(args.fan)
-    ideal, diag = _load_ideal_or_diagram(args.input, fan)
-    if diag is None:
-        diag = compute_diagram(fan, ideal)
+    diag = _load_diagram(args.input, fan)
     radius = _render_radius(args)
     if args.out and args.out.lower().endswith(".svg"):
         _write_text(svg_diagram(fan, diag, radius=radius), args.out)

@@ -41,16 +41,19 @@ class KlyachkoDiagram:
         entry = self.entries[tuple(cone)]
         return entry.support.contains(self.fan, m) and not entry.gaps.contains(self.fan, m)
 
-    def same_memberships(self, other):
-        """Set-level equality, ignoring how the cells are presented."""
-        if self.fan != other.fan or self.min_exponents != other.min_exponents:
-            return False
+    def difference(self, other):
+        """The first (cone, part, cell) where two diagrams differ as sets, or None.
+
+        ``part`` is "support" or "gaps"; ``cell`` is ``LatticeRegion.difference``.
+        """
+        if self.fan != other.fan:
+            raise InputError("diagrams live on different fans")
         for cone in self.fan.cones:
-            if not self.gaps(cone).equivalent(other.gaps(cone)):
-                return False
-            if not self.support(cone).equivalent(other.support(cone)):
-                return False
-        return True
+            for part in ConeEntry._fields:
+                cell = getattr(self, part)(cone).difference(getattr(other, part)(cone))
+                if cell is not None:
+                    return cone, part, cell
+        return None
 
     def to_json(self):
         cones = {}
@@ -69,22 +72,29 @@ class KlyachkoDiagram:
             raise InputError(f"malformed diagram data: {exc}") from exc
         if not isinstance(raw, dict):
             raise InputError("malformed diagram data: \"cones\" is not an object")
+        names = {",".join(map(str, cone)): cone for cone in fan.cones}
         entries = {}
         for key, val in raw.items():
+            if key not in names:
+                raise InputError(f"diagram refers to a cone {key!r} not in the fan")
+            cone = names[key]
             try:
-                cone = tuple(int(p) for p in key.split(",")) if key else ()
                 support, gaps = val["support"], val["gaps"]
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise InputError(f"malformed diagram cone {key!r}: {exc}") from exc
-            if cone not in fan.cones:
-                raise InputError(f"diagram refers to a cone {cone} not in the fan")
             regions = [LatticeRegion.from_json(support), LatticeRegion.from_json(gaps)]
             for region in regions:
                 if region.cone != cone:
                     raise InputError(f"diagram cone {key!r} holds a region "
                                      f"over cone {region.cone}")
             entries[cone] = ConeEntry(*regions)
-        return cls(fan, s, entries)
+        diag = cls(fan, s, entries)
+        for cone in fan.cones:
+            floor = support_region(fan, diag.min_exponents, cone)
+            if diag.support(cone).difference(floor) is not None:
+                raise InputError(f"diagram cone {cone}: the support is not the "
+                                 f"orthant of the exponent floor s")
+        return diag
 
 
 def support_region(fan, min_exponents, cone):

@@ -16,8 +16,8 @@ the members of the ideal as the union of the generator intervals.
 from operator import mul
 
 from .diagram import compute_diagram
-from .errors import InputError, json_int
-from .regions import count_region_points, region_is_finite, section_fibers
+from .errors import InfiniteRegionError, InputError, json_int
+from .regions import count_region_points, section_fibers
 
 
 def ring_dimension(grading, degree):
@@ -145,9 +145,9 @@ def constant_hilbert_poly(fan, diag):
                       f"{bad_ray}; the quotient grows along that direction")
     total = 0
     for cone in fan.max_cones:
-        finite, witness = region_is_finite(fan, diag.gaps(cone))
-        if not finite:
+        try:
+            total += count_region_points(fan, diag.gaps(cone))
+        except InfiniteRegionError as exc:
             return None, (f"gap region of cone {cone} has an unbounded cell "
-                          f"{witness!r}; the quotient grows inside it")
-        total += count_region_points(fan, diag.gaps(cone))
+                          f"{exc.witness!r}; the quotient grows inside it")
     return total, None

@@ -12,10 +12,14 @@ Every region is canonical: its cells are nonempty, pairwise non-nested and
 sorted by ``Cell.sort_key``.  ``LatticeRegion(cone, cells)`` establishes
 this by pruning, as do ``&``, ``|`` and ``-``, whose cells can nest.
 ``LatticeRegion._of`` only sorts, for results that preserve it by
-construction: ``promote`` (same cells), ``shift`` (a translation), and the
-pairwise disjoint bands of ``compute_diagram`` and gap slabs of
-``sum_diagram``.
+construction: ``shift`` (a translation), and the pairwise disjoint bands of
+``compute_diagram`` and gap slabs of ``sum_diagram``.
+``difference`` compares two regions exactly, over all of M.  Lattice points
+over a maximal cone are listed and counted by one walk over disjoint cells.
 """
+
+from itertools import product
+from math import prod
 
 from .errors import InfiniteRegionError, InputError, json_int
 from .lattice import UnboundedRegionError, lattice_fibers
@@ -244,12 +248,6 @@ class LatticeRegion:
         values = {ray: fan.pairing(m, ray) for ray in self.cone}
         return self.contains_values(values)
 
-    def promote(self, cone):
-        """Reinterpret over a larger cone (no change to the constraints)."""
-        if not set(self.cone) <= set(cone):
-            raise InputError(f"cannot promote region from cone {self.cone} to {cone}")
-        return LatticeRegion._of(cone, self.cells)
-
     def shift(self, fan, vector):
         """Translate by a lattice vector: bounds move by <vector, rho>, order kept."""
         move = {ray: fan.pairing(vector, ray) for ray in self.cone}
@@ -272,10 +270,20 @@ class LatticeRegion:
             out.extend(pieces)
         return out
 
-    def equivalent(self, other):
-        """Same set of characters (representations may differ)."""
+    def difference(self, other):
+        """The first cell of ``self - other`` or of ``other - self``.
+
+        None exactly when the two regions are the same set of characters,
+        however their cells are presented.
+        """
         self._check_cone(other)
-        return (self - other).is_empty() and (other - self).is_empty()
+        if self.cells == other.cells:
+            # regions are stored pruned and sorted, so this is the common case
+            return None
+        for rest in (self - other, other - self):
+            if rest.cells:
+                return rest.cells[0]
+        return None
 
     def to_json(self):
         return {"cone": list(self.cone), "cells": [c.to_json() for c in self.cells]}
@@ -293,58 +301,32 @@ class LatticeRegion:
         return f"LatticeRegion(cone={self.cone}, cells={list(self.cells)})"
 
 
-def region_points(fan, region):
-    """All characters in a region over a maximal cone, sorted.
+def _cell_ranges(fan, region):
+    """Per disjoint cell of a region over a maximal cone, a range per cone ray.
 
-    Raises InfiniteRegionError (with an offending cell as witness) when some
-    cell is unbounded.
+    Raises InfiniteRegionError, with the cell as witness, at the first
+    unbounded cell.
     """
     if len(region.cone) != fan.dim:
         raise InputError(f"cone {region.cone} is not maximal")
-    points = set()
     for cell in region.disjoint_cells():
-        ranges = []
-        for ray in region.cone:
-            lo, hi = cell.interval(ray)
-            if lo is None or hi is None:
-                raise InfiniteRegionError(
-                    f"cell {cell!r} over cone {region.cone} is unbounded",
-                    witness=cell)
-            ranges.append(range(lo, hi + 1))
-        stack = [()]
-        for rng in ranges:
-            stack = [y + (v,) for y in stack for v in rng]
-        points.update(fan.character(region.cone, y) for y in stack)
-    return sorted(points)
+        bounds = [cell.interval(ray) for ray in region.cone]
+        if any(None in iv for iv in bounds):
+            raise InfiniteRegionError(
+                f"cell {cell!r} over cone {region.cone} is unbounded", witness=cell)
+        yield [range(lo, hi + 1) for lo, hi in bounds]
 
 
-def region_is_finite(fan, region):
-    if len(region.cone) != fan.dim:
-        raise InputError(f"cone {region.cone} is not maximal")
-    for cell in region.disjoint_cells():
-        for ray in region.cone:
-            lo, hi = cell.interval(ray)
-            if lo is None or hi is None:
-                return False, cell
-    return True, None
+def region_points(fan, region):
+    """All characters in a region over a maximal cone, sorted."""
+    return sorted(fan.character(region.cone, y)
+                  for ranges in _cell_ranges(fan, region) for y in product(*ranges))
 
 
 def count_region_points(fan, region):
     """Number of characters in a region over a maximal cone."""
-    if len(region.cone) != fan.dim:
-        raise InputError(f"cone {region.cone} is not maximal")
-    total = 0
-    for cell in region.disjoint_cells():
-        vol = 1
-        for ray in region.cone:
-            lo, hi = cell.interval(ray)
-            if lo is None or hi is None:
-                raise InfiniteRegionError(
-                    f"cell {cell!r} over cone {region.cone} is unbounded",
-                    witness=cell)
-            vol *= hi - lo + 1
-        total += vol
-    return total
+    return sum(prod(r.stop - r.start for r in ranges)
+               for ranges in _cell_ranges(fan, region))
 
 
 def section_fibers(fan, divisor):

@@ -8,6 +8,7 @@ import pytest
 
 from klyachko import (MonomialIdeal, compute_diagram, ideal_sum,
                       projective_space, sum_diagram)
+from klyachko.checks import PROPERTY_NAMES
 from klyachko.cli import main
 
 EX_GENS = [[0, 0, 2], [1, 0, 1], [1, 1, 0]]
@@ -180,6 +181,15 @@ def test_check_random_suite(capsys):
     assert "(3 cases)" in captured.out
 
 
+def test_check_paths_print_one_property_order(capsys, files):
+    path = files("ex.json", {"gens": EX_GENS})
+    orders = []
+    for argv in (["check", "P2", path], ["check", "P2", "--random", "2"]):
+        assert main(argv) == 0
+        orders.append([line.split()[1] for line in capsys.readouterr().out.splitlines()])
+    assert orders[0] == orders[1] == list(PROPERTY_NAMES)
+
+
 def test_check_failure_exit_code(capsys, monkeypatch, files):
     import klyachko.cli as cli
 
@@ -298,6 +308,13 @@ def test_hostile_json_exit_code(capsys, files, p2):
     wrong_cone = json.loads(json.dumps(blob))
     wrong_cone["cones"]["1,2"]["gaps"] = {"cone": [0, 1], "cells": []}
     float_floor = dict(blob, s=[0, 0.5, 0])
+    padded_key = json.loads(json.dumps(blob))
+    padded_key["cones"][" +0 ,1"] = padded_key["cones"].pop("0,1")
+    twin_key = json.loads(json.dumps(blob))
+    twin_key["cones"]["00,1"] = {"support": blob["cones"]["0,1"]["support"],
+                                 "gaps": {"cone": [0, 1], "cells": [{"0": [0, 0]}]}}
+    moved_support = json.loads(json.dumps(blob))
+    moved_support["cones"]["1,2"]["support"]["cells"] = [{"1": [3, None], "2": [0, None]}]
     p2_json = p2.to_json()
     inputs = {
         "string exponent": {"gens": [[0, "x", 2]]},
@@ -307,6 +324,9 @@ def test_hostile_json_exit_code(capsys, files, p2):
         "cell ray outside the cone": far_ray,
         "region cone differs from its key": wrong_cone,
         "float exponent floor": float_floor,
+        "cone key with sign and spaces": padded_key,
+        "cone key with a leading zero": twin_key,
+        "support off the floor orthant": moved_support,
     }
     fans = {
         "float and bool ray entries": dict(p2_json, rays=[[-1, -1], [1.9, 0], [0, True]]),
@@ -322,6 +342,8 @@ def test_hostile_json_exit_code(capsys, files, p2):
         captured = capsys.readouterr()
         assert rc == 2, label
         assert "error:" in captured.err, label
+        if label == "support off the floor orthant":
+            assert "cone (1, 2)" in captured.err
 
 
 def test_cli_import_does_not_load_numpy():
