@@ -1,10 +1,11 @@
 """Randomized cross-validation of the diagram pipelines against brute force.
 
-The membership, saturation and tie checks each build a reference diagram
-and take its ``KlyachkoDiagram.difference`` from the computed one, so each
-is decided exactly over all of ``M``, not on a finite window.  The witness
-is a corner of the difference cell, in the cone's pairing coordinates and,
-on maximal cones, as a character.  The Hilbert check compares values on
+The membership check compares every cone's support and gaps, derived faces
+included, with the regions of the definition; the saturation and tie checks
+take the ``KlyachkoDiagram.difference`` of the computed diagram from a
+reference one.  Each is decided exactly over all of ``M``, not on a finite
+window.  The witness is a corner of the difference cell, in the cone's
+pairing coordinates and, on maximal cones, as a character.  The Hilbert check compares values on
 the generator classes padded by a couple of steps in every class
 coordinate.  ``check_report`` reports all five properties over a list of
 ideals, for the random suite and for ``klyachko check FAN IDEAL`` alike.
@@ -12,8 +13,7 @@ ideals, for the random suite and for ``klyachko check FAN IDEAL`` alike.
 
 import random
 
-from .diagram import (ConeEntry, KlyachkoDiagram, compute_diagram,
-                      gaps_by_definition, support_region)
+from .diagram import compute_diagram, gaps_by_definition, support_region
 from .hilbert import hilbert_value
 from .monomials import MonomialIdeal, degree_window, hilbert_oracle, saturate_oracle
 from .reconstruction import reconstruct_generators
@@ -28,43 +28,43 @@ def random_ideal(rng, nvars, max_gens=5, max_exp=5):
     return MonomialIdeal(gens, nvars=nvars)
 
 
-def _witness(fan, diag, reference):
-    """(cone, part, spot) where two diagrams differ, or None if they agree.
-
-    ``spot`` is a corner of the difference cell: pairings and, on maximal
-    cones, the character m.
-    """
-    found = diag.difference(reference)
-    if found is None:
-        return None
-    cone, part, cell = found
+def _spot(fan, cone, cell):
+    """A corner of a difference cell: pairings and, on maximal cones, the character m."""
     y = tuple(lo if lo is not None else hi if hi is not None else 0
               for lo, hi in map(cell.interval, cone))
     spot = f"pairings {y}"
     if len(cone) == fan.dim:
         spot += f" (character {fan.character(cone, y)})"
-    return cone, part, spot
+    return spot
+
+
+def _witness(fan, diag, reference):
+    """(cone, part, spot) where two diagrams differ, or None if they agree."""
+    found = diag.difference(reference)
+    if found is None:
+        return None
+    cone, part, cell = found
+    return cone, part, _spot(fan, cone, cell)
 
 
 def check_membership_identity(fan, ideal, diag=None):
     """Computed filtration membership == union of the generators' orthants.
 
-    On every cone the computed support must be the orthant of the exponent
-    floor and the computed gaps the support minus the generators' orthants.
-    Returns None on success, a witness message on the first discrepancy.
+    On every cone, faces included, the diagram's support must be the orthant
+    of the ideal's exponent floor and its gaps the support minus the
+    generators' orthants.  Returns None on success, a witness message on
+    the first discrepancy.
     """
     if diag is None:
         diag = compute_diagram(fan, ideal)
     s = ideal.min_exponents()
-    reference = KlyachkoDiagram(fan, s, {
-        cone: ConeEntry(support_region(fan, s, cone),
-                        gaps_by_definition(fan, ideal, cone))
-        for cone in fan.cones})
-    found = _witness(fan, diag, reference)
-    if found is None:
-        return None
-    cone, _, spot = found
-    return f"cone {cone}: membership differs at {spot}"
+    for cone in fan.cones:
+        for ours, truth in ((diag.support(cone), support_region(fan, s, cone)),
+                            (diag.gaps(cone), gaps_by_definition(fan, ideal, cone))):
+            cell = ours.difference(truth)
+            if cell is not None:
+                return f"cone {cone}: membership differs at {_spot(fan, cone, cell)}"
+    return None
 
 
 def check_roundtrip(fan, grading, ideal, diag=None):

@@ -14,10 +14,11 @@ import sys
 
 from .checks import check_report, run_suite
 from .diagram import KlyachkoDiagram, compute_diagram, sum_diagram
-from .errors import InputError, KlyachkoError, SearchBoxError
+from .errors import InputError, KlyachkoError, SearchBoxError, json_object
 from .hilbert import constant_hilbert_poly, hilbert_value
 from .monomials import MonomialIdeal, monomial_str
-from .reconstruction import local_cohomology_h1, reconstruct_generators
+from .reconstruction import (check_search_box, local_cohomology_h1,
+                             reconstruct_generators)
 from .render import ascii_diagram, svg_diagram
 from .toric import compute_grading, load_fan
 
@@ -27,7 +28,7 @@ _RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=json_object)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -82,15 +83,27 @@ def _load_ideal(path, fan):
     return ideal
 
 
-def _load_diagram(path, fan):
-    """The diagram of a diagram file, or that of the ideal of an ideal file."""
+def _load_diagram(path, grading):
+    """(diagram, saturation) of a diagram file, or (diagram, None) of an ideal file.
+
+    A diagram file is accepted only when it is the diagram of the saturation
+    it reconstructs to; otherwise the differing cone is named.
+    """
+    fan = grading.fan
     obj = _read_json(path)
     if isinstance(obj, dict) and "cones" in obj:
-        return KlyachkoDiagram.from_json(fan, obj)
+        diag = KlyachkoDiagram.from_json(fan, obj)
+        sat = reconstruct_generators(grading, diag)
+        found = diag.difference(compute_diagram(fan, sat))
+        if found is not None:
+            cone, part, _ = found
+            raise InputError(f"diagram cone {cone}: the {part} region differs "
+                             f"from that of {sat!r}, the ideal it reads back to")
+        return diag, sat
     ideal = MonomialIdeal.from_json(obj, nvars=fan.nrays)
     if ideal.is_zero():
         raise InputError(f"{path}: the ideal has no generators")
-    return compute_diagram(fan, ideal)
+    return compute_diagram(fan, ideal), None
 
 
 def _emit(payload, out):
@@ -119,9 +132,12 @@ def cmd_diagram(args):
 def cmd_saturate(args):
     fan = load_fan(args.fan)
     grading = compute_grading(fan)
-    diag = _load_diagram(args.input, fan)
+    diag, sat = _load_diagram(args.input, grading)
     box = _parse_ranges(args.box, grading.rank, "--box") if args.box else None
-    sat = reconstruct_generators(grading, diag, search_box=box)
+    if sat is None:
+        sat = reconstruct_generators(grading, diag)
+    if box is not None:
+        check_search_box(grading, sat, box)
     _emit(sat.to_json(), args.out)
     return 0
 
@@ -190,7 +206,7 @@ def cmd_check(args):
 
 def cmd_render(args):
     fan = load_fan(args.fan)
-    diag = _load_diagram(args.input, fan)
+    diag, _ = _load_diagram(args.input, compute_grading(fan))
     radius = _render_radius(args)
     if args.out and args.out.lower().endswith(".svg"):
         _write_text(svg_diagram(fan, diag, radius=radius), args.out)

@@ -3,12 +3,15 @@
 The diagram of a nonzero monomial ideal assigns to every cone of the fan a
 pair of regions in pairing coordinates: the support cone (where the induced
 filtration can be nonzero) and the gap set (the part of the support missing
-from the filtration).  The gap set of a maximal cone determines, together
-with the exponent floor, the saturation of the ideal, which is what the
-rest of the package exploits.
+from the filtration).  A diagram stores only the exponent floor and the gap
+sets of the maximal cones, which together determine the saturation of the
+ideal.  Every other entry is derived on demand: the support of a cone is
+the orthant of the floor, and the gaps of a face are the limit of the gaps
+of a maximal cone through it as the pairings off the face grow.
 """
 
 from collections import namedtuple
+from types import MappingProxyType
 
 from .errors import InputError, json_int
 from .regions import Cell, LatticeRegion
@@ -17,38 +20,72 @@ ConeEntry = namedtuple("ConeEntry", ["support", "gaps"])
 
 
 class KlyachkoDiagram:
-    """Per-cone support/gap regions plus the exponent floor vector."""
+    """The exponent floor vector plus the gap regions of the maximal cones."""
 
-    def __init__(self, fan, min_exponents, entries):
+    def __init__(self, fan, min_exponents, gaps):
         self.fan = fan
         self.min_exponents = tuple(json_int(x, "exponent floor entry")
                                    for x in min_exponents)
         if len(self.min_exponents) != fan.nrays:
             raise InputError("exponent floor length does not match the ray count")
-        self.entries = dict(entries)
-        missing = [c for c in fan.cones if c not in self.entries]
-        if missing:
-            raise InputError(f"diagram is missing cones: {missing}")
+        try:
+            self._gaps = {cone: gaps[cone] for cone in fan.max_cones}
+        except KeyError as exc:
+            raise InputError(f"diagram has no gaps over the maximal cone "
+                             f"{exc.args[0]}") from exc
+        self._supports = {}
 
     def support(self, cone):
-        return self.entries[tuple(cone)].support
+        """The orthant of the exponent floor over the cone."""
+        cone = tuple(cone)
+        region = self._supports.get(cone)
+        if region is None:
+            region = self._supports[cone] = support_region(
+                self.fan, self.min_exponents, cone)
+        return region
 
     def gaps(self, cone):
-        return self.entries[tuple(cone)].gaps
+        """The gap region over a cone; derived, and kept, for a face.
+
+        The gaps of a face are the gap cells of the first maximal cone
+        through it that have no upper bound on the maximal cone's other
+        rays, with those rays' bounds dropped.
+        """
+        cone = tuple(cone)
+        region = self._gaps.get(cone)
+        if region is None:
+            sigma = next((c for c in self.fan.max_cones if set(cone) <= set(c)), None)
+            if sigma is None:
+                raise InputError(f"{cone} is not a cone of the fan")
+            cells = [Cell._of(tuple(b for b in cell.bounds if b[0] in cone))
+                     for cell in self._gaps[sigma].cells
+                     if all(cell.interval(ray)[1] is None
+                            for ray in sigma if ray not in cone)]
+            region = self._gaps[cone] = LatticeRegion(cone, cells)
+        return region
+
+    @property
+    def entries(self):
+        """Read-only view {cone: ConeEntry(support, gaps)} over every cone."""
+        return MappingProxyType({cone: ConeEntry(self.support(cone), self.gaps(cone))
+                                 for cone in self.fan.cones})
 
     def member(self, cone, m):
         """Whether the character m lies in the cone's filtration piece."""
-        entry = self.entries[tuple(cone)]
-        return entry.support.contains(self.fan, m) and not entry.gaps.contains(self.fan, m)
+        return (self.support(cone).contains(self.fan, m)
+                and not self.gaps(cone).contains(self.fan, m))
 
     def difference(self, other):
         """The first (cone, part, cell) where two diagrams differ as sets, or None.
 
         ``part`` is "support" or "gaps"; ``cell`` is ``LatticeRegion.difference``.
+        Only maximal cones are compared: every ray lies in one, and the
+        entries of a face follow from the floor and the gaps of a maximal
+        cone through it.
         """
         if self.fan != other.fan:
             raise InputError("diagrams live on different fans")
-        for cone in self.fan.cones:
+        for cone in self.fan.max_cones:
             for part in ConeEntry._fields:
                 cell = getattr(self, part)(cone).difference(getattr(other, part)(cone))
                 if cell is not None:
@@ -57,14 +94,19 @@ class KlyachkoDiagram:
 
     def to_json(self):
         cones = {}
-        for cone, entry in sorted(self.entries.items()):
+        for cone in sorted(self.fan.cones):
             key = ",".join(str(i) for i in cone)
-            cones[key] = {"support": entry.support.to_json(),
-                          "gaps": entry.gaps.to_json()}
+            cones[key] = {"support": self.support(cone).to_json(),
+                          "gaps": self.gaps(cone).to_json()}
         return {"s": list(self.min_exponents), "cones": cones}
 
     @classmethod
     def from_json(cls, fan, obj):
+        """A diagram from its JSON form, which lists every cone of the fan.
+
+        The maximal cones give the gaps; every support, and the gaps of
+        every face, must be the derived ones.
+        """
         try:
             s = list(obj["s"])
             raw = obj["cones"]
@@ -88,12 +130,17 @@ class KlyachkoDiagram:
                     raise InputError(f"diagram cone {key!r} holds a region "
                                      f"over cone {region.cone}")
             entries[cone] = ConeEntry(*regions)
-        diag = cls(fan, s, entries)
+        missing = [c for c in fan.cones if c not in entries]
+        if missing:
+            raise InputError(f"diagram is missing cones: {missing}")
+        diag = cls(fan, s, {cone: entries[cone].gaps for cone in fan.max_cones})
         for cone in fan.cones:
-            floor = support_region(fan, diag.min_exponents, cone)
-            if diag.support(cone).difference(floor) is not None:
+            if entries[cone].support.difference(diag.support(cone)) is not None:
                 raise InputError(f"diagram cone {cone}: the support is not the "
                                  f"orthant of the exponent floor s")
+            if entries[cone].gaps.difference(diag.gaps(cone)) is not None:
+                raise InputError(f"diagram cone {cone}: the gaps are not those "
+                                 f"derived from a maximal cone through it")
         return diag
 
 
@@ -113,7 +160,7 @@ def compute_diagram(fan, ideal, tie_reverse=False):
     set is canonical, hence independent of the tie order; ``tie_reverse``
     only exercises that fact in tests.
 
-    Returns a KlyachkoDiagram with an entry for every cone of the fan.
+    Only the maximal cones are sliced; the diagram derives the faces.
     """
     if ideal.is_zero():
         raise InputError("the zero ideal has no diagram")
@@ -154,11 +201,8 @@ def compute_diagram(fan, ideal, tie_reverse=False):
         return result
 
     everything = tuple(range(len(gens)))
-    entries = {}
-    for cone in fan.cones:
-        entries[cone] = ConeEntry(support_region(fan, s, cone),
-                                  delta(cone, everything))
-    return KlyachkoDiagram(fan, s, entries)
+    return KlyachkoDiagram(fan, s, {cone: delta(cone, everything)
+                                    for cone in fan.max_cones})
 
 
 def gaps_by_definition(fan, ideal, cone):
@@ -176,25 +220,24 @@ def gaps_by_definition(fan, ideal, cone):
 def sum_diagram(fan, diag_a, diag_b):
     """Diagram of I + J from the diagrams of I and J.
 
-    The exponent floor is the ray-wise minimum.  Over each cone the gaps of
-    the sum are assembled from four slabs: common gaps, gaps of one ideal
-    outside the other's support, and the part of the new support outside
-    both old supports.
+    The exponent floor is the ray-wise minimum.  Over each maximal cone the
+    gaps of the sum are assembled from four slabs: common gaps, gaps of one
+    ideal outside the other's support, and the part of the new support
+    outside both old supports.
     """
     if diag_a.fan != diag_b.fan:
         raise InputError("diagrams live on different fans")
     s = tuple(min(x, y) for x, y in zip(diag_a.min_exponents, diag_b.min_exponents))
-    entries = {}
-    for cone in fan.cones:
+    gaps = {}
+    for cone in fan.max_cones:
         support = support_region(fan, s, cone)
         ca, da = diag_a.support(cone), diag_a.gaps(cone)
         cb, db = diag_b.support(cone), diag_b.gaps(cone)
         # pairwise disjoint slabs (da lies in ca, db in cb), so no cell nests
         slabs = ((da & db), (da & (support - cb)), (db & (support - ca)),
                  (support - (ca | cb)))
-        gaps = LatticeRegion._of(cone, [c for slab in slabs for c in slab.cells])
-        entries[cone] = ConeEntry(support, gaps)
-    return KlyachkoDiagram(fan, s, entries)
+        gaps[cone] = LatticeRegion._of(cone, [c for slab in slabs for c in slab.cells])
+    return KlyachkoDiagram(fan, s, gaps)
 
 
 def shift_diagram(fan, diag, divisor):

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the strict JSON integer."""
+"""Exception types shared across the package, and strict JSON readers."""
 
 
 class KlyachkoError(Exception):
@@ -26,3 +26,13 @@ def json_int(value, what):
     if isinstance(value, bool) or not isinstance(value, int):
         raise InputError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def json_object(pairs):
+    """``object_pairs_hook`` for ``json.load``: a dict, refusing repeated keys."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InputError(f"JSON object repeats the key {key!r}")
+        obj[key] = value
+    return obj

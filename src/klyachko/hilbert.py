@@ -92,9 +92,8 @@ def walk_fibers(fan, diag, divisor, gens=()):
     is the sorted, disjoint t-intervals of the monomials in I^sat, ``ideal``
     the same for the multiples of the exponent vectors ``gens`` that clear
     the floor (all of them, for the generators of the diagram's ideal).
-    The support of every maximal cone is taken to be the floor orthant
-    {pairings >= s}, which is how ``compute_diagram`` and ``sum_diagram``
-    build it.
+    The support of every cone is the floor orthant {pairings >= s}, as
+    ``KlyachkoDiagram`` derives it.
     """
     slopes = [ray[-1] for ray in fan.rays]
     divisor = [json_int(x, "divisor entry") for x in divisor]

@@ -32,13 +32,16 @@ def monomial_str(exps, names=None):
 
 
 def minimalize(gens):
-    """The divisibility-minimal generators among ``gens``, sorted."""
-    unique = sorted(set(tuple(int(e) for e in g) for g in gens))
-    out = []
-    for g in unique:
-        if not any(h != g and divides(h, g) for h in unique):
-            out.append(g)
-    return tuple(out)
+    """The divisibility-minimal generators among ``gens``, sorted.
+
+    A proper divisor has a smaller total degree, so in order of total degree
+    each generator is tested only against the generators already kept.
+    """
+    kept = []
+    for g in sorted({tuple(int(e) for e in g) for g in gens}, key=lambda g: (sum(g), g)):
+        if not any(divides(h, g) for h in kept):
+            kept.append(g)
+    return tuple(sorted(kept))
 
 
 class MonomialIdeal:

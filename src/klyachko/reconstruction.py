@@ -11,7 +11,7 @@ from the member intervals of ``hilbert.walk_fibers``, one class at a time.
 import itertools
 
 from .diagram import compute_diagram
-from .errors import InputError, SearchBoxError
+from .errors import InputError, SearchBoxError, json_int
 from .hilbert import interval_minus, walk_fibers
 from .monomials import MonomialIdeal, monomial_str
 
@@ -139,22 +139,34 @@ def minimal_generator_exponents(fan, diag):
     return caps, found
 
 
+def check_search_box(grading, ideal, search_box):
+    """Raise SearchBoxError unless every generator's class is strictly inside.
+
+    ``search_box`` holds one (lo, hi) class range per class coordinate.
+    """
+    box = [(json_int(lo, "search box bound"), json_int(hi, "search box bound"))
+           for lo, hi in search_box]
+    if len(box) != grading.rank:
+        raise InputError(f"search box has {len(box)} ranges, "
+                         f"expected {grading.rank}")
+    if any(lo > hi for lo, hi in box):
+        raise InputError("empty search box range")
+    for g in ideal.gens:
+        u = grading.degree(g)
+        if not all(lo < x < hi for x, (lo, hi) in zip(u, box)):
+            raise SearchBoxError(
+                f"a generator of class {u} is on or past the search box "
+                "boundary; enlarge the box")
+
+
 def reconstruct_generators(grading, diag, search_box=None):
     """Minimal generators of the B-saturated ideal with the given diagram.
 
     Read off the breakpoint scan of ``minimal_generator_exponents``.  An
     explicit ``search_box`` of per-coordinate class ranges is a check on
-    that exact answer: a generator whose class is not strictly inside the
-    box raises SearchBoxError.
+    that exact answer, by ``check_search_box``.
     """
     fan = grading.fan
-    if search_box is not None:
-        box = [(int(lo), int(hi)) for lo, hi in search_box]
-        if len(box) != grading.rank:
-            raise InputError(f"search box has {len(box)} ranges, "
-                             f"expected {grading.rank}")
-        if any(lo > hi for lo, hi in box):
-            raise InputError("empty search box range")
     _, found = minimal_generator_exponents(fan, diag)
     if not found:
         # the saturation of a nonzero ideal has a generator inside [s, K]
@@ -162,12 +174,7 @@ def reconstruct_generators(grading, diag, search_box=None):
                          "floor; it is not the diagram of a nonzero ideal")
     result = MonomialIdeal(found, nvars=fan.nrays)
     if search_box is not None:
-        for g in result.gens:
-            u = grading.degree(g)
-            if not all(lo < x < hi for x, (lo, hi) in zip(u, box)):
-                raise SearchBoxError(
-                    f"a generator of class {u} is on or past the search box "
-                    "boundary; enlarge the box")
+        check_search_box(grading, result, search_box)
     return result
 
 

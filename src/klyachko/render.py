@@ -2,8 +2,9 @@
 
 Characters are drawn in the plane of the character lattice itself, one
 panel per maximal cone: filled marks where the filtration lives, open
-marks on the gaps, faint dots elsewhere.  ASCII for terminals, SVG for
-files; both are plain deterministic string building.
+marks on the gaps, faint dots elsewhere.  Only the regions of maximal
+cones are read, so no face of the diagram is derived.  ASCII for
+terminals, SVG for files; both are plain deterministic string building.
 """
 
 from .errors import InputError
@@ -19,11 +20,13 @@ def _require_plane(fan):
 
 
 def default_radius(diag):
-    """Half-width of the plotting window: past every finite cell bound."""
+    """Half-width of the plotting window: past every finite cell bound.
+
+    Maximal cones suffice: the bounds of a face's derived regions are among
+    those of a maximal cone through it.
+    """
     extent = 4
-    for cone in diag.fan.cones:
-        if not cone:
-            continue
+    for cone in diag.fan.max_cones:
         for region in (diag.support(cone), diag.gaps(cone)):
             for cell in region.cells:
                 for _, (lo, hi) in cell.bounds:

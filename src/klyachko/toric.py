@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * a fan lives in N = Z^n; rays are primitive integer vectors, cones are
-  sorted tuples of ray indices, and ``max_cones`` all have n rays;
+  sorted tuples of ray indices, and ``max_cones`` all have n rays; the
+  full face list ``Fan.cones`` is built only when something asks for it;
 * a character (point of the dual lattice M = Z^n) is a plain int tuple,
   paired with rays through ``Fan.pairing``;
 * the Cox ring has one variable per ray; a monomial is its exponent
@@ -24,8 +25,9 @@ import itertools
 import json
 import math
 import re
+from functools import cached_property
 
-from .errors import InputError, json_int
+from .errors import InputError, json_int, json_object
 from .linalg import dot, unimodular_inverse
 
 
@@ -40,11 +42,15 @@ class Fan:
                                       for c in max_cones))
         self.name = name
         self._inverses = {}
+
+    @cached_property
+    def cones(self):
+        """Every face of every maximal cone, the trivial cone first; built on first use."""
         faces = {()}
         for cone in self.max_cones:
             for k in range(1, len(cone) + 1):
                 faces.update(itertools.combinations(cone, k))
-        self.cones = tuple(sorted(faces, key=lambda c: (len(c), c)))
+        return tuple(sorted(faces, key=lambda c: (len(c), c)))
 
     def __eq__(self, other):
         return (isinstance(other, Fan)
@@ -287,7 +293,7 @@ def load_fan(source):
     if fan is None:
         try:
             with open(source) as handle:
-                obj = json.load(handle)
+                obj = json.load(handle, object_pairs_hook=json_object)
         except OSError as exc:
             raise InputError(f"unknown fan {source!r} (not a catalog name or file)") from exc
         except json.JSONDecodeError as exc:

@@ -19,7 +19,6 @@ from klyachko import (Cell, InfiniteRegionError, KlyachkoDiagram, LatticeRegion,
                       local_cohomology_h1, reconstruct_generators,
                       region_points, saturate_oracle, sum_diagram)
 from klyachko.checks import run_suite
-from klyachko.diagram import ConeEntry, support_region
 
 PLANE_GENS = [(0, 0, 2), (1, 0, 1), (1, 1, 0)]
 SPACE_GENS = [(1, 1, 0, 0), (0, 1, 1, 2), (0, 0, 2, 0)]
@@ -125,13 +124,9 @@ def test_criterion_05_reconstruction(request, case):
     fixture, s, gap_cells, expected = RECONSTRUCTION_CASES[case]
     fan = request.getfixturevalue(fixture)
     grading = request.getfixturevalue(fixture + "_grading")
-    entries = {}
-    for cone in fan.cones:
-        cells = gap_cells.get(cone)
-        gaps = (LatticeRegion(cone, [Cell(b) for b in cells])
-                if cells else LatticeRegion.empty(cone))
-        entries[cone] = ConeEntry(support_region(fan, s, cone), gaps)
-    diag = KlyachkoDiagram(fan, s, entries)
+    diag = KlyachkoDiagram(fan, s, {
+        cone: LatticeRegion(cone, [Cell(b) for b in gap_cells.get(cone, [])])
+        for cone in fan.max_cones})
     result = reconstruct_generators(grading, diag)
     assert set(result.gens) == expected
     # the pins themselves are saturated, by the independent colon oracle

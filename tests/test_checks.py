@@ -3,12 +3,11 @@ import random
 import pytest
 from conftest import star_subdivide
 
-from klyachko import MonomialIdeal, compute_diagram, projective_space
+from klyachko import KlyachkoDiagram, MonomialIdeal, compute_diagram, projective_space
 from klyachko.checks import (PROPERTY_NAMES, check_hilbert, check_ideal,
                              check_membership_identity, check_roundtrip,
                              check_saturation_invariance, check_tie_order,
                              random_ideal, run_suite)
-from klyachko.diagram import ConeEntry
 from klyachko.regions import Cell, LatticeRegion
 
 GOOD = [(0, 0, 2), (1, 0, 1), (1, 1, 0)]
@@ -32,9 +31,10 @@ def test_all_checks_pass_on_good_ideal(p2, p2_grading):
 
 
 def tampered_diagram(fan, ideal, cone, gaps):
+    """The ideal's diagram with the gaps of one maximal cone replaced."""
     diag = compute_diagram(fan, ideal)
-    diag.entries[cone] = ConeEntry(diag.entries[cone].support, gaps)
-    return diag
+    return KlyachkoDiagram(fan, diag.min_exponents,
+                           {c: gaps if c == cone else diag.gaps(c) for c in fan.max_cones})
 
 
 def test_membership_check_catches_tampering(p2):
@@ -61,13 +61,11 @@ def test_far_away_gap_cell_is_caught(p2):
 
 def test_membership_check_catches_support_tampering(p2):
     ideal = MonomialIdeal(GOOD)
-    broken = compute_diagram(p2, ideal)
-    entry = broken.entries[(0, 1)]
-    shifted = LatticeRegion.orthant((0, 1), {0: 0, 1: -1})
-    broken.entries[(0, 1)] = ConeEntry(shifted, entry.gaps)
+    # lower the floor on ray 1: every support through that ray grows by a slab
+    diag = compute_diagram(p2, ideal)
+    broken = KlyachkoDiagram(p2, (0, -1, 0), {c: diag.gaps(c) for c in p2.max_cones})
     message = check_membership_identity(p2, ideal, broken)
-    assert message is not None and "cone (0, 1): membership differs at" in message
-    assert "pairings (0, -1)" in message
+    assert message == "cone (1,): membership differs at pairings (-1,)"
 
 
 def test_saturation_check_catches_tampering(p2):

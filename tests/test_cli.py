@@ -95,11 +95,19 @@ def test_saturate_from_ideal(capsys, files):
     assert payload == {"gens": [[0, 0, 0, 1], [0, 1, 0, 0]]}
 
 
-def test_saturate_from_diagram_json(capsys, files, h3):
+def test_saturate_from_diagram_json(capsys, files, h3, monkeypatch):
+    import klyachko.reconstruction as reconstruction
+    scans = []
+    scan = reconstruction.minimal_generator_exponents
+    monkeypatch.setattr(reconstruction, "minimal_generator_exponents",
+                        lambda *args: scans.append(1) or scan(*args))
     diag = compute_diagram(h3, MonomialIdeal(H3_GENS))
     path = files("diag.json", diag.to_json())
-    payload = run_json(capsys, ["saturate", "H3", path])
-    assert payload == {"gens": [[0, 0, 0, 1], [0, 1, 0, 0]]}
+    for box in ([], ["--box", "-4..2,-1..2"]):
+        payload = run_json(capsys, ["saturate", "H3", path, *box])
+        assert payload == {"gens": [[0, 0, 0, 1], [0, 1, 0, 0]]}
+    # the check that the file is the diagram of its saturation reuses the scan
+    assert len(scans) == 2
 
 
 def test_saturate_diagram_without_members_exit_code(capsys, files, p2):
@@ -301,7 +309,7 @@ def test_check_rejects_window_flag(capsys):
     assert "--window" in capsys.readouterr().err
 
 
-def test_hostile_json_exit_code(capsys, files, p2):
+def test_hostile_json_exit_code(capsys, files, tmp_path, p2):
     blob = compute_diagram(p2, MonomialIdeal(EX_GENS)).to_json()
     far_ray = json.loads(json.dumps(blob))
     far_ray["cones"]["1,2"]["gaps"]["cells"] = [{"7": [0, 0]}]
@@ -315,6 +323,11 @@ def test_hostile_json_exit_code(capsys, files, p2):
                                  "gaps": {"cone": [0, 1], "cells": [{"0": [0, 0]}]}}
     moved_support = json.loads(json.dumps(blob))
     moved_support["cones"]["1,2"]["support"]["cells"] = [{"1": [3, None], "2": [0, None]}]
+    face_gaps = json.loads(json.dumps(blob))
+    face_gaps["cones"]["1"]["gaps"]["cells"] = [{"1": [0, 0]}]
+    # a bounded gap cell that no ideal has: reads back to (x0^2, x1*x2) all the same
+    island = compute_diagram(p2, MonomialIdeal([(2, 0, 0), (0, 1, 1)])).to_json()
+    island["cones"]["1,2"]["gaps"]["cells"].append({"1": [5, 6], "2": [5, 6]})
     p2_json = p2.to_json()
     inputs = {
         "string exponent": {"gens": [[0, "x", 2]]},
@@ -327,7 +340,12 @@ def test_hostile_json_exit_code(capsys, files, p2):
         "cone key with sign and spaces": padded_key,
         "cone key with a leading zero": twin_key,
         "support off the floor orthant": moved_support,
+        "face gaps off the derived ones": face_gaps,
+        "island gap cell": island,
     }
+    named = {"support off the floor orthant": "cone (1, 2)",
+             "face gaps off the derived ones": "cone (1,)",
+             "island gap cell": "cone (1, 2)"}
     fans = {
         "float and bool ray entries": dict(p2_json, rays=[[-1, -1], [1.9, 0], [0, True]]),
         "string dimension": dict(p2_json, dim="2"),
@@ -342,8 +360,19 @@ def test_hostile_json_exit_code(capsys, files, p2):
         captured = capsys.readouterr()
         assert rc == 2, label
         assert "error:" in captured.err, label
-        if label == "support off the floor orthant":
-            assert "cone (1, 2)" in captured.err
+        if label in named:
+            assert named[label] in captured.err, label
+    # a repeated cone key: the last "1,2" entry, with no gaps, would make this
+    # a valid diagram of (x2^2, x0)
+    cones = ", ".join(f"{json.dumps(key)}: {json.dumps(val)}"
+                      for key, val in blob["cones"].items())
+    twin = {"support": blob["cones"]["1,2"]["support"], "gaps": {"cone": [1, 2], "cells": []}}
+    repeated = tmp_path / "repeated.json"
+    repeated.write_text(f'{{"s": {json.dumps(blob["s"])}, '
+                        f'"cones": {{{cones}, "1,2": {json.dumps(twin)}}}}}')
+    for argv in (["saturate", "P2", str(repeated)], ["render", "P2", str(repeated)]):
+        assert main(argv) == 2
+        assert "repeats the key '1,2'" in capsys.readouterr().err
 
 
 def test_cli_import_does_not_load_numpy():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -21,6 +22,16 @@ def test_divides_and_minimalize():
     assert not divides((1, 3), (2, 2))
     assert minimalize([(2, 0), (1, 0), (1, 0), (0, 3), (1, 4)]) == ((0, 3), (1, 0))
     assert minimalize([]) == ()
+    # seeded comparison with the definition: no other generator divides a kept one
+    rng = random.Random(3)
+    for _ in range(300):
+        nvars = rng.randint(1, 5)
+        gens = [tuple(rng.randint(0, 4) for _ in range(nvars))
+                for _ in range(rng.randint(0, 12))]
+        unique = set(gens)
+        expected = sorted(g for g in unique
+                          if not any(h != g and divides(h, g) for h in unique))
+        assert minimalize(gens) == tuple(expected)
 
 
 def test_ideal_normalization():

@@ -9,7 +9,6 @@ from klyachko import (Cell, InputError, KlyachkoDiagram, LatticeRegion,
                       local_cohomology_h1, minimal_generator_exponents,
                       monomials_of_degree, product_of_projective_spaces,
                       projective_space, reconstruct_generators, saturate_oracle)
-from klyachko.diagram import ConeEntry, support_region
 from klyachko.reconstruction import exponent_caps
 
 # already-saturated running example on the plane: (x0*x2, x1*x2, x0*x1^2)
@@ -18,15 +17,9 @@ H3_GENS = [(0, 1, 0, 0), (3, 0, 0, 1)]
 
 
 def diagram_from_max_gaps(fan, s, max_gaps):
-    """Assemble a diagram from explicit maximal-cone gap regions.
-
-    Face cones get empty gaps; reconstruction never reads them.
-    """
-    entries = {}
-    for cone in fan.cones:
-        gaps = max_gaps.get(cone, LatticeRegion.empty(cone))
-        entries[cone] = ConeEntry(support_region(fan, s, cone), gaps)
-    return KlyachkoDiagram(fan, s, entries)
+    """A diagram from explicit maximal-cone gap regions; missing ones are empty."""
+    return KlyachkoDiagram(fan, s, {cone: max_gaps.get(cone, LatticeRegion.empty(cone))
+                                    for cone in fan.max_cones})
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +256,8 @@ def test_reconstruct_box_validation(p2_grading, p2_given):
         reconstruct_generators(p2_grading, p2_given, search_box=[(0, 2), (0, 2)])
     with pytest.raises(InputError):
         reconstruct_generators(p2_grading, p2_given, search_box=[(3, 1)])
+    with pytest.raises(InputError, match="must be an integer"):
+        reconstruct_generators(p2_grading, p2_given, search_box=[(0.5, 6)])
 
 
 def test_h1_of_saturated_ideal_vanishes(p2, p2_grading):

@@ -107,7 +107,8 @@ def _entry_points(p2, bad):
         "character": lambda: p2.character((1, 2), (0, bad)),
         "section_fibers": lambda: list(section_fibers(p2, (0, 0, bad))),
         "walk_fibers": lambda: list(walk_fibers(p2, diag, (0, 0, bad))),
-        "diagram floor": lambda: KlyachkoDiagram(p2, (bad, 0, 0), diag.entries),
+        "diagram floor": lambda: KlyachkoDiagram(
+            p2, (bad, 0, 0), {cone: diag.gaps(cone) for cone in p2.max_cones}),
     }
 
 
