@@ -3,12 +3,14 @@
 The bridge between characters and monomials: a character m together with a
 divisor lift D names the monomial with exponent vector <m, rho> + D_rho.
 The minimal generators of the saturated ideal are read off the diagram by
-one scan of the exponent box [s, K], visiting only the breakpoints where
-some gap cell starts or ends.  Graded pieces and H^1 pieces are expanded
-from the member intervals of ``hilbert.walk_fibers``, one class at a time.
+one bitset over the breakpoint grid of the exponent box [s, K], the values
+where some gap cell starts or ends: every gap cell is painted in as a box
+of grid points, and one shift per ray leaves the minimal members.  Graded
+pieces and H^1 pieces are expanded from the member intervals of
+``hilbert.walk_fibers``, one class at a time.
 """
 
-import itertools
+from bisect import bisect_left, bisect_right
 
 from .diagram import compute_diagram
 from .errors import InputError, SearchBoxError, json_int
@@ -99,43 +101,84 @@ def _breakpoints(fan, diag, caps):
     return [sorted(p) for p in points]
 
 
-def _membership_tables(fan, diag, grid):
-    """Per maximal cone, a lookup from breakpoint indices to membership."""
-    tables = {}
-    for cone in fan.max_cones:
-        gaps = diag.gaps(cone)
-        tables[cone] = {
-            idx: not gaps.contains_values({r: grid[r][i] for r, i in zip(cone, idx)})
-            for idx in itertools.product(*(range(len(grid[r])) for r in cone))}
-    return tables
+def _box_mask(ranges, strides):
+    """Bitset of the grid points whose index on each ray r is in range(*ranges[r]).
+
+    Built from the fastest ray outward: the box over the later rays is
+    repeated once per index of the next ray by doubling shifts, so the cost
+    is linear in the box's span, and no grid-sized mask is kept.
+    """
+    mask = 1
+    for (a, b), stride in zip(reversed(ranges), reversed(strides)):
+        count, out, offset, width = b - a, 0, 0, stride
+        while count:
+            if count & 1:
+                out |= mask << offset
+                offset += width
+            count >>= 1
+            if count:
+                mask |= mask << width
+                width *= 2
+        mask = out << (a * stride)
+    return mask
 
 
 def minimal_generator_exponents(fan, diag):
     """Exponent vectors of the saturation's minimal generators.
 
-    Scans the breakpoint grid of the box [s, K] with the per-cone membership
-    tables; a member is minimal when dividing by any single variable leaves
-    the ideal.  Exact because exponents >= s make support membership
-    automatic, so membership is avoidance of every maximal cone's gaps.  A
-    minimal generator sits on breakpoints (otherwise one step down keeps
-    membership), and one step down from a breakpoint lands in the range of
-    the previous one, so the result equals a scan of every point of the box.
+    Reads them off one bitset over the breakpoint grid of the box [s, K],
+    one bit per grid point in ``itertools.product`` order (last ray
+    fastest).  Every gap cell of every maximal cone is painted in as a box
+    of breakpoint-index ranges; the rest are the members.  A member is
+    minimal when none of its lower neighbours, one breakpoint down on a
+    single ray, is a member: one shift per ray finds them all, so the scan
+    costs O(cells x grid / 64) word operations.  Exact because exponents
+    >= s make support membership automatic, so membership is avoidance of
+    every maximal cone's gaps.  A minimal generator sits on breakpoints
+    (otherwise one step down keeps membership), and one step down from a
+    breakpoint lands in the range of the previous one, so the result equals
+    a scan of every point of the box.
     """
     caps = exponent_caps(fan, diag)
     grid = _breakpoints(fan, diag, caps)
-    tables = _membership_tables(fan, diag, grid)
+    sizes = [len(points) for points in grid]
+    strides = [1] * fan.nrays
+    for r in reversed(range(fan.nrays - 1)):
+        strides[r] = strides[r + 1] * sizes[r + 1]
+    full = (1 << (strides[0] * sizes[0])) - 1
 
-    def member(idx):
-        return all(tables[cone][tuple(idx[r] for r in cone)]
-                   for cone in fan.max_cones)
+    gaps = 0
+    for cone in fan.max_cones:
+        for cell in diag.gaps(cone).cells:
+            ranges = [(0, size) for size in sizes]
+            for ray, (lo, hi) in cell.bounds:
+                points = grid[ray]
+                ranges[ray] = (0 if lo is None else bisect_left(points, lo),
+                               sizes[ray] if hi is None else bisect_right(points, hi))
+            if all(a < b for a, b in ranges):
+                gaps |= _box_mask(ranges, strides)
+    members = full & ~gaps
+
+    lower = 0
+    for r in range(fan.nrays):
+        # a shift by stride r steps every point one breakpoint up ray r; the band
+        # (index >= 1 on ray r) drops the steps that wrapped into the next row
+        band = _box_mask([(1, size) if q == r else (0, size)
+                          for q, size in enumerate(sizes)], strides)
+        lower |= (members << strides[r]) & band
+    minimal = members & ~lower
 
     found = []
-    for idx in itertools.product(*(range(len(points)) for points in grid)):
-        if not member(idx):
-            continue
-        if not any(idx[r] > 0 and member(idx[:r] + (idx[r] - 1,) + idx[r + 1:])
-                   for r in range(fan.nrays)):
-            found.append(tuple(grid[r][i] for r, i in enumerate(idx)))
+    bits = bin(minimal)   # "0b" and the most significant bit first
+    top = len(bits) - 1
+    j = bits.rfind("1", 2)
+    while j >= 0:
+        point, rest = [], top - j
+        for points, stride in zip(grid, strides):
+            k, rest = divmod(rest, stride)
+            point.append(points[k])
+        found.append(tuple(point))
+        j = bits.rfind("1", 2, j)
     return caps, found
 
 

@@ -148,7 +148,8 @@ class Cell:
             raise InputError(f"malformed cell data: {obj!r}")
         bounds = {}
         for key, iv in obj.items():
-            if not (key.isascii() and key.isdigit()):
+            # exactly str(ray): "01" would silently alias "1"
+            if not (key.isascii() and key.isdigit() and key == str(int(key))):
                 raise InputError(f"malformed cell data: ray {key!r}")
             if not isinstance(iv, list) or len(iv) != 2:
                 raise InputError(f"malformed cell data: interval {iv!r}")

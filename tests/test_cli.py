@@ -373,6 +373,13 @@ def test_hostile_json_exit_code(capsys, files, tmp_path, p2):
     for argv in (["saturate", "P2", str(repeated)], ["render", "P2", str(repeated)]):
         assert main(argv) == 2
         assert "repeats the key '1,2'" in capsys.readouterr().err
+    # ray keys "1" and "01" alias: read by int(), the last [0, 0] would hide [7, 7]
+    aliased = json.loads(json.dumps(blob))
+    aliased["cones"]["1,2"]["gaps"]["cells"] = [{"1": [7, 7], "2": [0, 0], "01": [0, 0]}]
+    aliased_path = files("aliased.json", aliased)
+    for command in ("saturate", "render"):
+        assert main([command, "P2", aliased_path]) == 2
+        assert "ray '01'" in capsys.readouterr().err
 
 
 def test_cli_import_does_not_load_numpy():

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,6 +228,57 @@ def test_generator_scan_matches_full_box(case):
                                  for r in range(fan.nrays)):
             expected.append(k)
     assert minimal_generator_exponents(fan, diag) == (caps, expected)
+
+
+def full_box_scan(fan, diag):
+    """Minimal generator exponents by testing every point of the box [s, K]."""
+    s = diag.min_exponents
+    box = list(itertools.product(*(range(lo, hi + 1)
+                                   for lo, hi in zip(s, exponent_caps(fan, diag)))))
+    member = {k: not any(diag.gaps(cone).contains_values(dict(enumerate(k)))
+                         for cone in fan.max_cones)
+              for k in box}
+    return [k for k in box
+            if member[k] and not any(k[r] > s[r] and member[k[:r] + (k[r] - 1,) + k[r + 1:]]
+                                     for r in range(fan.nrays))]
+
+
+@pytest.mark.parametrize("fan, ngens, max_exp", [
+    (product_of_projective_spaces(1, 2), 5, 5),
+    (projective_space(4), 4, 3),
+    (product_of_projective_spaces(2, 2), 6, 3),
+], ids=["P1xP2", "P4", "P2xP2"])
+def test_generator_scan_matches_full_box_on_random_ideals(fan, ngens, max_exp):
+    # sized as in the saturate benchmark: every variable reaches both 0 and max_exp,
+    # so the exponent box has its full width
+    rng = random.Random(ngens * 100 + max_exp)
+    for _ in range(12):
+        count = rng.randint(2, ngens)
+        gens = [[rng.randint(0, max_exp) for _ in range(fan.nrays)] for _ in range(count)]
+        for var in range(fan.nrays):
+            top, bottom = rng.sample(range(count), 2)
+            gens[top][var], gens[bottom][var] = max_exp, 0
+        diag = compute_diagram(fan, MonomialIdeal([tuple(g) for g in gens]))
+        caps, found = minimal_generator_exponents(fan, diag)
+        assert caps == exponent_caps(fan, diag)
+        assert found == full_box_scan(fan, diag)
+
+
+def test_generator_scan_tests_no_point(monkeypatch):
+    # a breakpoint grid of 419,904 points; the scan paints cells, it probes no point
+    fan = product_of_projective_spaces(2, 2)
+    rng = random.Random(30)
+    ideal = MonomialIdeal([tuple(rng.randint(0, 8) for _ in range(6)) for _ in range(30)])
+    diag = compute_diagram(fan, ideal)
+    calls = []
+    for cls in (Cell, LatticeRegion):
+        probe = cls.contains_values
+        monkeypatch.setattr(cls, "contains_values",
+                            lambda self, values, probe=probe: calls.append(1) or probe(self, values))
+    _, found = minimal_generator_exponents(fan, diag)
+    assert calls == []
+    monkeypatch.undo()
+    assert MonomialIdeal(found, nvars=fan.nrays) == saturate_oracle(ideal, fan)
 
 
 def test_reconstruct_explicit_box(p2_grading, p2_given, h3_grading, h3_given):

@@ -64,6 +64,14 @@ def test_region_refuses_cells_outside_its_cone():
         LatticeRegion.from_json({"cone": [0, 1], "cells": [{"2": [0, 1]}]})
 
 
+@pytest.mark.parametrize("key", ["01", "00", "+1", " 1", "1_0", "\u0661", "-1", "x"])
+def test_cell_json_ray_key_must_be_exact(key):
+    # read by int(), "01" would name ray 1 and silently replace its bounds
+    with pytest.raises(InputError, match="ray"):
+        Cell.from_json({"1": [0, 0], key: [5, 5]})
+    assert Cell.from_json({"1": [0, 0], "10": [5, 5]}) == Cell({1: (0, 0), 10: (5, 5)})
+
+
 def test_cell_contains_values():
     cell = Cell({0: (0, 2), 1: (1, None)})
     assert cell.contains_values({0: 1, 1: 5})
