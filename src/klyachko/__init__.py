@@ -6,7 +6,7 @@ pipeline against brute-force monomial algebra.
 """
 
 from .diagram import (KlyachkoDiagram, compute_diagram, gaps_by_definition,
-                      shift_diagram, sum_diagram)
+                      shift_diagram)
 from .errors import (InfiniteRegionError, InputError, KlyachkoError,
                      SearchBoxError)
 from .hilbert import (constant_hilbert_poly, hilbert_value,
@@ -16,7 +16,7 @@ from .monomials import (MonomialIdeal, hilbert_oracle, ideal_intersect,
                         monomials_of_degree, saturate_oracle)
 from .reconstruction import (GradedPiece, graded_basis, local_cohomology_h1,
                              minimal_generator_exponents,
-                             reconstruct_generators)
+                             reconstruct_generators, sum_diagram)
 from .regions import Cell, LatticeRegion, count_region_points, region_points
 from .render import ascii_diagram, svg_diagram
 from .toric import (CoxGrading, Fan, compute_grading, hirzebruch, load_fan,

@@ -8,31 +8,20 @@ too small, 4 check failures.
 
 import argparse
 import json
-import os
 import re
 import sys
 
 from .checks import check_report, run_suite
-from .diagram import KlyachkoDiagram, compute_diagram, sum_diagram
-from .errors import InputError, KlyachkoError, SearchBoxError, json_object
+from .diagram import KlyachkoDiagram, compute_diagram
+from .errors import InputError, KlyachkoError, SearchBoxError, read_json
 from .hilbert import constant_hilbert_poly, hilbert_value
 from .monomials import MonomialIdeal, monomial_str
 from .reconstruction import (check_search_box, local_cohomology_h1,
-                             reconstruct_generators)
+                             reconstruct_generators, sum_diagram)
 from .render import ascii_diagram, svg_diagram
 from .toric import compute_grading, load_fan
 
 _RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
-
-
-def _read_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=json_object)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _parse_ranges(text, rank, flag):
@@ -60,23 +49,13 @@ def _degrees_from_ranges(ranges):
 
 
 def _render_radius(args):
-    if args.window is not None:
-        radius, source = args.window, "--window"
-    else:
-        env = os.environ.get("KLYACHKO_WINDOW")
-        if env is None:
-            return None
-        try:
-            radius, source = int(env), "KLYACHKO_WINDOW"
-        except ValueError as exc:
-            raise InputError(f"KLYACHKO_WINDOW={env!r} is not an integer") from exc
-    if radius < 0:
-        raise InputError(f"{source} radius must be at least 0, got {radius}")
-    return radius
+    if args.window is not None and args.window < 0:
+        raise InputError(f"--window radius must be at least 0, got {args.window}")
+    return args.window
 
 
 def _load_ideal(path, fan):
-    obj = _read_json(path)
+    obj = read_json(path)
     ideal = MonomialIdeal.from_json(obj, nvars=fan.nrays)
     if ideal.is_zero():
         raise InputError(f"{path}: the ideal has no generators")
@@ -90,7 +69,7 @@ def _load_diagram(path, grading):
     it reconstructs to; otherwise the differing cone is named.
     """
     fan = grading.fan
-    obj = _read_json(path)
+    obj = read_json(path)
     if isinstance(obj, dict) and "cones" in obj:
         diag = KlyachkoDiagram.from_json(fan, obj)
         sat = reconstruct_generators(grading, diag)
@@ -113,8 +92,11 @@ def _emit(payload, out):
 
 def _write_text(text, out):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -219,7 +201,7 @@ def _add_common(sub, window=True):
     if window:
         sub.add_argument("--window", type=int, default=None,
                          help="half-width of the rendered window "
-                              "(default: size-derived; env KLYACHKO_WINDOW)")
+                              "(default: size-derived)")
     sub.add_argument("--out", default=None, help="write output to a file")
 
 

@@ -8,6 +8,10 @@ sets of the maximal cones, which together determine the saturation of the
 ideal.  Every other entry is derived on demand: the support of a cone is
 the orthant of the floor, and the gaps of a face are the limit of the gaps
 of a maximal cone through it as the pairings off the face grow.
+
+``compute_diagram`` is the one builder of diagrams from generators, and
+``shift_diagram`` translates one.  The diagram of a sum is built from the
+two saturations by ``reconstruction.sum_diagram``.
 """
 
 from collections import namedtuple
@@ -215,29 +219,6 @@ def gaps_by_definition(fan, ideal, cone):
     for g in ideal.gens:
         region = region - support_region(fan, g, cone)
     return region
-
-
-def sum_diagram(fan, diag_a, diag_b):
-    """Diagram of I + J from the diagrams of I and J.
-
-    The exponent floor is the ray-wise minimum.  Over each maximal cone the
-    gaps of the sum are assembled from four slabs: common gaps, gaps of one
-    ideal outside the other's support, and the part of the new support
-    outside both old supports.
-    """
-    if diag_a.fan != diag_b.fan:
-        raise InputError("diagrams live on different fans")
-    s = tuple(min(x, y) for x, y in zip(diag_a.min_exponents, diag_b.min_exponents))
-    gaps = {}
-    for cone in fan.max_cones:
-        support = support_region(fan, s, cone)
-        ca, da = diag_a.support(cone), diag_a.gaps(cone)
-        cb, db = diag_b.support(cone), diag_b.gaps(cone)
-        # pairwise disjoint slabs (da lies in ca, db in cb), so no cell nests
-        slabs = ((da & db), (da & (support - cb)), (db & (support - ca)),
-                 (support - (ca | cb)))
-        gaps[cone] = LatticeRegion._of(cone, [c for slab in slabs for c in slab.cells])
-    return KlyachkoDiagram(fan, s, gaps)
 
 
 def shift_diagram(fan, diag, divisor):

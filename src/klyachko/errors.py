@@ -1,5 +1,7 @@
 """Exception types shared across the package, and strict JSON readers."""
 
+import json
+
 
 class KlyachkoError(Exception):
     """Base class for all package errors."""
@@ -36,3 +38,19 @@ def json_object(pairs):
             raise InputError(f"JSON object repeats the key {key!r}")
         obj[key] = value
     return obj
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 file, with objects read by ``json_object``.
+
+    A file that cannot be opened, is not UTF-8, is not JSON or nests too
+    deeply for the decoder is an InputError naming the path.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, object_pairs_hook=json_object)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers both undecodable bytes and malformed JSON
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc

@@ -5,8 +5,10 @@ divisor lift D names the monomial with exponent vector <m, rho> + D_rho.
 The minimal generators of the saturated ideal are read off the diagram by
 one bitset over the breakpoint grid of the exponent box [s, K], the values
 where some gap cell starts or ends: every gap cell is painted in as a box
-of grid points, and one shift per ray leaves the minimal members.  Graded
-pieces and H^1 pieces are expanded from the member intervals of
+of grid points, and one shift per ray leaves the minimal members.  The
+diagram of a sum is ``compute_diagram`` of the two saturations' generators
+together, so it needs no region algebra of its own.  Graded pieces and
+H^1 pieces are expanded from the member intervals of
 ``hilbert.walk_fibers``, one class at a time.
 """
 
@@ -202,6 +204,16 @@ def check_search_box(grading, ideal, search_box):
                 "boundary; enlarge the box")
 
 
+def _saturation_exponents(fan, diag):
+    """The breakpoint scan's generators, refusing a diagram that has none."""
+    _, found = minimal_generator_exponents(fan, diag)
+    if not found:
+        # the saturation of a nonzero ideal has a generator inside [s, K]
+        raise InputError("the diagram's gaps cover every monomial above its "
+                         "floor; it is not the diagram of a nonzero ideal")
+    return found
+
+
 def reconstruct_generators(grading, diag, search_box=None):
     """Minimal generators of the B-saturated ideal with the given diagram.
 
@@ -210,15 +222,23 @@ def reconstruct_generators(grading, diag, search_box=None):
     that exact answer, by ``check_search_box``.
     """
     fan = grading.fan
-    _, found = minimal_generator_exponents(fan, diag)
-    if not found:
-        # the saturation of a nonzero ideal has a generator inside [s, K]
-        raise InputError("the diagram's gaps cover every monomial above its "
-                         "floor; it is not the diagram of a nonzero ideal")
-    result = MonomialIdeal(found, nvars=fan.nrays)
+    result = MonomialIdeal(_saturation_exponents(fan, diag), nvars=fan.nrays)
     if search_box is not None:
         check_search_box(grading, result, search_box)
     return result
+
+
+def sum_diagram(fan, diag_a, diag_b):
+    """Diagram of I + J from the diagrams of I and J.
+
+    A diagram depends only on the B-saturation of its ideal, and
+    (I + J)^sat = (I^sat + J^sat)^sat, so the sum's diagram is that of the
+    two saturations' generators together.
+    """
+    if diag_a.fan != fan or diag_b.fan != fan:
+        raise InputError("diagrams live on different fans")
+    gens = _saturation_exponents(fan, diag_a) + _saturation_exponents(fan, diag_b)
+    return compute_diagram(fan, MonomialIdeal(gens, nvars=fan.nrays))
 
 
 def local_cohomology_h1(grading, ideal, divisor, diag=None):

@@ -10,10 +10,10 @@ closed under that.
 
 Every region is canonical: its cells are nonempty, pairwise non-nested and
 sorted by ``Cell.sort_key``.  ``LatticeRegion(cone, cells)`` establishes
-this by pruning, as do ``&``, ``|`` and ``-``, whose cells can nest.
-``LatticeRegion._of`` only sorts, for results that preserve it by
-construction: ``shift`` (a translation), and the pairwise disjoint bands of
-``compute_diagram`` and gap slabs of ``sum_diagram``.
+this by pruning, as does ``-``, whose cells can nest.  ``LatticeRegion._of``
+only sorts, for results that are canonical by construction: ``empty``,
+``full`` and ``orthant`` (zero cells or one), ``shift`` (a translation),
+and the pairwise disjoint bands of ``compute_diagram``.
 ``difference`` compares two regions exactly, over all of M.  Lattice points
 over a maximal cone are listed and counted by one walk over disjoint cells.
 """
@@ -200,16 +200,16 @@ class LatticeRegion:
 
     @classmethod
     def empty(cls, cone):
-        return cls(cone, [])
+        return cls._of(cone, [])
 
     @classmethod
     def full(cls, cone):
-        return cls(cone, [Cell({})])
+        return cls._of(cone, [Cell._of(())])
 
     @classmethod
     def orthant(cls, cone, lows):
         """{m : <m, rho> >= lows[rho] for rho in cone}."""
-        return cls(cone, [Cell({ray: (lo, None) for ray, lo in lows.items()})])
+        return cls._of(cone, [Cell({ray: (lo, None) for ray, lo in lows.items()})])
 
     def is_empty(self):
         return not self.cells
@@ -217,20 +217,6 @@ class LatticeRegion:
     def _check_cone(self, other):
         if self.cone != other.cone:
             raise InputError(f"region cones differ: {self.cone} vs {other.cone}")
-
-    def __and__(self, other):
-        self._check_cone(other)
-        out = []
-        for a in self.cells:
-            for b in other.cells:
-                c = a.intersect(b)
-                if c is not None:
-                    out.append(c)
-        return LatticeRegion(self.cone, out)
-
-    def __or__(self, other):
-        self._check_cone(other)
-        return LatticeRegion(self.cone, list(self.cells) + list(other.cells))
 
     def __sub__(self, other):
         self._check_cone(other)

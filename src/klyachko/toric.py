@@ -22,12 +22,12 @@ the inverse of the rays outside a class-group basis grades the Cox ring
 """
 
 import itertools
-import json
 import math
+import os
 import re
 from functools import cached_property
 
-from .errors import InputError, json_int, json_object
+from .errors import InputError, json_int, read_json
 from .linalg import dot, unimodular_inverse
 
 
@@ -291,13 +291,8 @@ def load_fan(source):
     """A fan from a catalog name or a JSON file path."""
     fan = named_fan(source)
     if fan is None:
-        try:
-            with open(source) as handle:
-                obj = json.load(handle, object_pairs_hook=json_object)
-        except OSError as exc:
-            raise InputError(f"unknown fan {source!r} (not a catalog name or file)") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"fan file {source!r} is not valid JSON: {exc}") from exc
-        fan = Fan.from_json(obj, name=source)
+        if not os.path.isfile(source):
+            raise InputError(f"unknown fan {source!r} (not a catalog name or file)")
+        fan = Fan.from_json(read_json(source), name=source)
     fan.assert_valid()
     return fan

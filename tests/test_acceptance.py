@@ -177,7 +177,6 @@ def test_criterion_08_random_oracle_suite(request, fixture):
 
 def _cli_output(args, hashseed):
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
-    env.pop("KLYACHKO_WINDOW", None)
     proc = subprocess.run([sys.executable, "-m", "klyachko.cli"] + args,
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr

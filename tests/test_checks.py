@@ -50,7 +50,7 @@ def test_far_away_gap_cell_is_caught(p2):
     # a gap cell far outside any window sized by the generator exponents
     ideal = MonomialIdeal(GOOD)
     gaps = compute_diagram(p2, ideal).gaps((1, 2))
-    far = gaps | LatticeRegion((1, 2), [Cell({1: (40, 40), 2: (40, 40)})])
+    far = LatticeRegion((1, 2), gaps.cells + (Cell({1: (40, 40), 2: (40, 40)}),))
     broken = tampered_diagram(p2, ideal, (1, 2), far)
     message = check_membership_identity(p2, ideal, broken)
     assert message is not None and "cone (1, 2)" in message

@@ -7,18 +7,13 @@ from pathlib import Path
 import pytest
 
 from klyachko import (MonomialIdeal, compute_diagram, ideal_sum,
-                      projective_space, sum_diagram)
+                      projective_space, saturate_oracle, sum_diagram)
 from klyachko.checks import PROPERTY_NAMES
 from klyachko.cli import main
 
 EX_GENS = [[0, 0, 2], [1, 0, 1], [1, 1, 0]]
 H3_GENS = [[0, 1, 0, 0], [3, 0, 0, 1]]
 H1_GENS = [[3, 1, 0], [1, 1, 2], [0, 0, 3], [0, 3, 0]]
-
-
-@pytest.fixture(autouse=True)
-def clean_env(monkeypatch):
-    monkeypatch.delenv("KLYACHKO_WINDOW", raising=False)
 
 
 @pytest.fixture()
@@ -172,6 +167,19 @@ def test_sum_command(capsys, files, p2):
     assert payload == json.loads(json.dumps(expected))
 
 
+def test_sum_output_reads_back(capsys, files, tmp_path, p2):
+    first = MonomialIdeal([(0, 0, 2), (2, 1, 0)])
+    second = MonomialIdeal([(1, 0, 1), (0, 3, 0)])
+    paths = [files(name, ideal.to_json())
+             for name, ideal in (("a.json", first), ("b.json", second))]
+    combined = tmp_path / "sum.json"
+    assert main(["sum", "P2", *paths, "--out", str(combined)]) == 0
+    payload = run_json(capsys, ["saturate", "P2", str(combined)])
+    assert payload == saturate_oracle(ideal_sum(first, second), p2).to_json()
+    assert main(["render", "P2", str(combined)]) == 0
+    assert "cone" in capsys.readouterr().out
+
+
 def test_check_single_ideal(capsys, files):
     path = files("ex.json", {"gens": EX_GENS})
     rc = main(["check", "P2", path])
@@ -283,22 +291,22 @@ def test_zero_ideal_exit_code(capsys, files):
 
 
 def test_bad_window_env_exit_code(capsys, files, monkeypatch):
-    monkeypatch.setenv("KLYACHKO_WINDOW", "wide")
+    # --window is the one way to set the radius; the environment is not read
     path = files("ex.json", {"gens": EX_GENS})
-    rc = main(["render", "P2", path])
-    assert rc == 2
-    assert "KLYACHKO_WINDOW" in capsys.readouterr().err
+    assert main(["render", "P2", path]) == 0
+    plain = capsys.readouterr().out
+    monkeypatch.setenv("KLYACHKO_WINDOW", "wide")
+    assert main(["render", "P2", path]) == 0
+    assert capsys.readouterr().out == plain
 
 
-def test_negative_render_radius_exit_code(capsys, files, monkeypatch):
+def test_negative_render_radius_exit_code(capsys, files):
     path = files("ex.json", {"gens": EX_GENS})
     assert main(["render", "P2", path, "--window", "-3"]) == 2
     assert "--window" in capsys.readouterr().err
-    monkeypatch.setenv("KLYACHKO_WINDOW", "-1")
-    assert main(["diagram", "P2", path, "--render"]) == 2
-    assert "KLYACHKO_WINDOW" in capsys.readouterr().err
-    monkeypatch.setenv("KLYACHKO_WINDOW", "0")
-    assert main(["render", "P2", path]) == 0
+    assert main(["diagram", "P2", path, "--render", "--window", "-1"]) == 2
+    assert "--window" in capsys.readouterr().err
+    assert main(["render", "P2", path, "--window", "0"]) == 0
     assert "window [0, 0]^2" in capsys.readouterr().out
 
 
@@ -329,6 +337,8 @@ def test_hostile_json_exit_code(capsys, files, tmp_path, p2):
     island = compute_diagram(p2, MonomialIdeal([(2, 0, 0), (0, 1, 1)])).to_json()
     island["cones"]["1,2"]["gaps"]["cells"].append({"1": [5, 6], "2": [5, 6]})
     p2_json = p2.to_json()
+    unreadable = {"nested 200,000 deep": "[" * 200_000 + "]" * 200_000,
+                  "not UTF-8": b'{"gens": [[0, 0, 2]], "name": "\xff"}'}
     inputs = {
         "string exponent": {"gens": [[0, "x", 2]]},
         "gens not a list": {"gens": 5},
@@ -362,6 +372,16 @@ def test_hostile_json_exit_code(capsys, files, tmp_path, p2):
         assert "error:" in captured.err, label
         if label in named:
             assert named[label] in captured.err, label
+    for label, content in unreadable.items():
+        hostile = tmp_path / "unreadable.json"
+        if isinstance(content, bytes):
+            hostile.write_bytes(content)
+        else:
+            hostile.write_text(content)
+        for argv in (["diagram", "P2", str(hostile)], ["saturate", "P2", str(hostile)],
+                     ["diagram", str(hostile), ideal]):
+            assert main(argv) == 2, (label, argv)
+            assert "error:" in capsys.readouterr().err, (label, argv)
     # a repeated cone key: the last "1,2" entry, with no gaps, would make this
     # a valid diagram of (x2^2, x0)
     cones = ", ".join(f"{json.dumps(key)}: {json.dumps(val)}"
@@ -380,6 +400,38 @@ def test_hostile_json_exit_code(capsys, files, tmp_path, p2):
     for command in ("saturate", "render"):
         assert main([command, "P2", aliased_path]) == 2
         assert "ray '01'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,target", [
+    ("diagram", "x.json"), ("render", "x.svg"), ("render", "x.txt"), ("check", "x.json")])
+def test_unwritable_out_exit_code(capsys, files, tmp_path, command, target):
+    path = files("ex.json", {"gens": EX_GENS})
+    out = tmp_path / "missing" / target
+    assert main([command, "P2", path, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and str(out) in captured.err
+    assert not out.exists()
+
+
+def test_hostile_files_exit_without_traceback(tmp_path):
+    # in-process tests cannot see the exit code of an uncaught exception
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"gens": [[0, 0, 2]], "name": "\xff"}')
+    ideal = tmp_path / "ideal.json"
+    ideal.write_text(json.dumps({"gens": EX_GENS}))
+    unwritable = str(tmp_path / "missing" / "x.json")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for args in (["saturate", "P2", str(deep)], ["diagram", str(deep), str(ideal)],
+                 ["diagram", "P2", str(latin)], ["diagram", str(latin), str(ideal)],
+                 ["diagram", "P2", str(ideal), "--out", unwritable]):
+        result = subprocess.run([sys.executable, "-m", "klyachko.cli", *args],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2, (args, result.stderr)
+        assert result.stderr.startswith("error:"), args
+        assert "Traceback" not in result.stderr, args
 
 
 def test_cli_import_does_not_load_numpy():

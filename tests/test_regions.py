@@ -84,15 +84,16 @@ def test_cell_contains_values():
 def test_region_set_operations_match_pointwise(pair):
     a, b = pair
     ma, mb = members(a), members(b)
-    assert members(a & b) == ma & mb
-    assert members(a | b) == ma | mb
+    union = LatticeRegion(a.cone, a.cells + b.cells)
+    assert members(union) == ma | mb
     assert members(a - b) == ma - mb
+    assert members(a - (a - b)) == ma & mb
     cell = a.difference(b)
     assert (cell is None) == (ma == mb)
     if cell is not None:
         inside = members(LatticeRegion(a.cone, [cell]))
         assert inside and (inside <= ma - mb or inside <= mb - ma)
-    rebuilt = (a - b) | (a & b)
+    rebuilt = LatticeRegion(a.cone, (a - b).cells + (a - (a - b)).cells)
     assert (rebuilt.difference(a) is None) == (members(rebuilt) == ma)
 
 
@@ -138,7 +139,7 @@ def test_cone_mismatch_raises():
     a = LatticeRegion((0, 1), [Cell({0: (0, 0)})])
     b = LatticeRegion((0, 2), [Cell({0: (0, 0)})])
     with pytest.raises(InputError):
-        _ = a & b
+        _ = a - b
 
 
 def test_shift_translates_membership(p2):
