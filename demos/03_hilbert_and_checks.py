@@ -50,9 +50,8 @@ print("reason:", note)
 # The harness draws seeded random ideals and checks, per ideal: the
 # degreewise membership identity against raw monomial divisibility, the
 # diagram-to-generators roundtrip against the colon-ideal oracle,
-# Hilbert values, invariance of the diagram under saturation, and
-# independence of the recursion from tie-breaking.  Seeded, so reruns
-# reproduce failures exactly.
+# Hilbert values, and invariance of the diagram under saturation.
+# Seeded, so reruns reproduce failures exactly.
 report = run_suite(p2, seed=42, count=25)
 print(f"\nrandom cross-checks on {report['fan']}"
       f" ({report['cases']} ideals, seed {report['seed']}):")

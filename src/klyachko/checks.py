@@ -1,14 +1,15 @@
 """Randomized cross-validation of the diagram pipelines against brute force.
 
 The membership check compares every cone's support and gaps, derived faces
-included, with the regions of the definition; the saturation and tie checks
-take the ``KlyachkoDiagram.difference`` of the computed diagram from a
-reference one.  Each is decided exactly over all of ``M``, not on a finite
+included, with the regions of the definition; the saturation check takes
+the ``KlyachkoDiagram.difference`` of the computed diagram from that of the
+saturation.  Each is decided exactly over all of ``M``, not on a finite
 window.  The witness is a corner of the difference cell, in the cone's
-pairing coordinates and, on maximal cones, as a character.  The Hilbert check compares values on
-the generator classes padded by a couple of steps in every class
-coordinate.  ``check_report`` reports all five properties over a list of
-ideals, for the random suite and for ``klyachko check FAN IDEAL`` alike.
+pairing coordinates and, on maximal cones, as a character.  The Hilbert
+check compares values on the generator classes padded by a couple of steps
+in every class coordinate.  ``check_report`` reports all four properties
+over a list of ideals, for the random suite and for ``klyachko check FAN
+IDEAL`` alike.
 """
 
 import random
@@ -110,35 +111,22 @@ def check_saturation_invariance(fan, ideal, diag=None):
     return f"cone {cone}: {part} regions differ at {spot}"
 
 
-def check_tie_order(fan, ideal, diag=None):
-    """Gap sets must not depend on how equal generator levels are ordered."""
-    if diag is None:
-        diag = compute_diagram(fan, ideal)
-    reference = compute_diagram(fan, ideal, tie_reverse=True)
-    found = _witness(fan, diag, reference)
-    if found is None:
-        return None
-    cone, part, spot = found
-    return f"cone {cone}: {part} regions depend on the tie order at {spot}"
-
-
-PROPERTY_NAMES = ("membership", "roundtrip", "hilbert", "saturation", "ties")
+PROPERTY_NAMES = ("membership", "roundtrip", "hilbert", "saturation")
 
 
 def check_ideal(fan, grading, ideal):
-    """All five properties on one ideal; dict of property -> witness or None."""
+    """All four properties on one ideal; dict of property -> witness or None."""
     diag = compute_diagram(fan, ideal)
     return {
         "membership": check_membership_identity(fan, ideal, diag),
         "roundtrip": check_roundtrip(fan, grading, ideal, diag),
         "hilbert": check_hilbert(fan, grading, ideal, diag),
         "saturation": check_saturation_invariance(fan, ideal, diag),
-        "ties": check_tie_order(fan, ideal, diag),
     }
 
 
 def check_report(fan, ideals, seed=None):
-    """All five properties over numbered ideals, as a JSON-ready report dict."""
+    """All four properties over numbered ideals, as a JSON-ready report dict."""
     grading = compute_grading(fan)
     failures = {name: [] for name in PROPERTY_NAMES}
     for case, ideal in enumerate(ideals):

@@ -15,9 +15,9 @@ from .checks import check_report, run_suite
 from .diagram import KlyachkoDiagram, compute_diagram
 from .errors import InputError, KlyachkoError, SearchBoxError, read_json
 from .hilbert import constant_hilbert_poly, hilbert_value
-from .monomials import MonomialIdeal, monomial_str
+from .monomials import MonomialIdeal, ideal_sum, monomial_str
 from .reconstruction import (check_search_box, local_cohomology_h1,
-                             reconstruct_generators, sum_diagram)
+                             reconstruct_generators)
 from .render import ascii_diagram, svg_diagram
 from .toric import compute_grading, load_fan
 
@@ -159,9 +159,7 @@ def cmd_sum(args):
     fan = load_fan(args.fan)
     first = _load_ideal(args.first, fan)
     second = _load_ideal(args.second, fan)
-    combined = sum_diagram(fan, compute_diagram(fan, first),
-                           compute_diagram(fan, second))
-    _emit(combined.to_json(), args.out)
+    _emit(compute_diagram(fan, ideal_sum(first, second)).to_json(), args.out)
     return 0
 
 
@@ -173,6 +171,8 @@ def cmd_check(args):
         if args.random < 1:
             raise InputError(f"--random must be at least 1, got {args.random}")
         report = run_suite(fan, seed=args.seed, count=args.random)
+    if args.out:
+        _emit(report, args.out)
     failed = False
     for prop in report["properties"]:
         if prop["status"] == "pass":
@@ -181,8 +181,6 @@ def cmd_check(args):
             failed = True
             first = prop["failures"][0]
             print(f"FAIL {prop['name']}: gens {first['gens']}: {first['witness']}")
-    if args.out:
-        _emit(report, args.out)
     return 4 if failed else 0
 
 

@@ -18,6 +18,7 @@ from collections import namedtuple
 from types import MappingProxyType
 
 from .errors import InputError, json_int
+from .monomials import minimalize
 from .regions import Cell, LatticeRegion
 
 ConeEntry = namedtuple("ConeEntry", ["support", "gaps"])
@@ -155,14 +156,16 @@ def support_region(fan, min_exponents, cone):
     return LatticeRegion.orthant(cone, {ray: min_exponents[ray] for ray in cone})
 
 
-def compute_diagram(fan, ideal, tie_reverse=False):
+def compute_diagram(fan, ideal):
     """The Klyachko diagram of a nonzero monomial ideal.
 
-    Works one cone at a time by slicing along the cone's last ray: between
-    two consecutive generator levels the active generators are constant, so
-    the slice is the diagram of the active subset over the facet.  The gap
-    set is canonical, hence independent of the tie order; ``tie_reverse``
-    only exercises that fact in tests.
+    Works one maximal cone at a time on the minimal generators of the
+    localization there (``minimalize`` of the restrictions to the cone's
+    rays), slicing along the cone's last ray at their distinct levels: the
+    slice of a band is the diagram, over the facet, of the minimal
+    restrictions of the generators at or below the band.  An ideal and its
+    saturation have the same localization at every maximal cone, so they
+    get the same cells.
 
     Only the maximal cones are sliced; the diagram derives the faces.
     """
@@ -170,43 +173,32 @@ def compute_diagram(fan, ideal, tie_reverse=False):
         raise InputError("the zero ideal has no diagram")
     if ideal.nvars != fan.nrays:
         raise InputError("ideal and fan have different numbers of variables")
-    gens = list(ideal.gens)
     s = ideal.min_exponents()
     memo = {}
 
-    def tie_key(i):
-        return tuple(-e for e in gens[i]) if tie_reverse else gens[i]
-
-    def delta(cone, idxs):
-        key = (cone, idxs)
+    def delta(cone, gens):
+        key = (cone, gens)
         if key in memo:
             return memo[key]
         if not cone:
-            result = (LatticeRegion.full(()) if not idxs
+            result = (LatticeRegion.full(()) if not gens
                       else LatticeRegion.empty(()))
         else:
             last = cone[-1]
-            sub = cone[:-1]
-            order = sorted(idxs, key=lambda i: (gens[i][last], tie_key(i)))
-            levels = [gens[i][last] for i in order]
-            n = len(order)
+            lows = sorted({s[last], *(g[-1] for g in gens)})
             cells = []
-            for j in range(n + 1):
-                lo = s[last] if j == 0 else levels[j - 1]
-                hi = None if j == n else levels[j] - 1
-                if hi is not None and lo > hi:
-                    continue
-                band = (last, (lo, hi))
-                inner = delta(sub, tuple(sorted(order[:j])))
+            for j, lo in enumerate(lows):
+                band = (last, (lo, lows[j + 1] - 1 if j + 1 < len(lows) else None))
+                inner = delta(cone[:-1], minimalize(g[:-1] for g in gens if g[-1] <= lo))
                 cells.extend(Cell._of(c.bounds + (band,)) for c in inner.cells)
             # inner cells leave the last ray free, and the bands are disjoint on it
             result = LatticeRegion._of(cone, cells)
         memo[key] = result
         return result
 
-    everything = tuple(range(len(gens)))
-    return KlyachkoDiagram(fan, s, {cone: delta(cone, everything)
-                                    for cone in fan.max_cones})
+    return KlyachkoDiagram(fan, s, {
+        cone: delta(cone, minimalize(tuple(g[i] for i in cone) for g in ideal.gens))
+        for cone in fan.max_cones})
 
 
 def gaps_by_definition(fan, ideal, cone):

@@ -6,8 +6,7 @@ from conftest import star_subdivide
 from klyachko import KlyachkoDiagram, MonomialIdeal, compute_diagram, projective_space
 from klyachko.checks import (PROPERTY_NAMES, check_hilbert, check_ideal,
                              check_membership_identity, check_roundtrip,
-                             check_saturation_invariance, check_tie_order,
-                             random_ideal, run_suite)
+                             check_saturation_invariance, random_ideal, run_suite)
 from klyachko.regions import Cell, LatticeRegion
 
 GOOD = [(0, 0, 2), (1, 0, 1), (1, 1, 0)]
@@ -93,10 +92,6 @@ def test_hilbert_check_catches_tampering(p2, p2_grading):
     assert message is not None and "oracle counts" in message
 
 
-def test_tie_check_passes(p2):
-    assert check_tie_order(p2, MonomialIdeal([(2, 0, 1), (0, 2, 1)])) is None
-
-
 def test_run_suite_structure(p2):
     report = run_suite(p2, seed=3, count=10)
     assert report["fan"] == "P2"
@@ -128,10 +123,10 @@ def test_run_suite_reports_failures(p2, monkeypatch):
     def always_wrong(fan, ideal, diag=None):
         return "forced witness"
 
-    monkeypatch.setattr(checks, "check_tie_order", always_wrong)
+    monkeypatch.setattr(checks, "check_saturation_invariance", always_wrong)
     report = checks.run_suite(p2, seed=0, count=3)
-    ties = [p for p in report["properties"] if p["name"] == "ties"][0]
-    assert ties["status"] == "fail"
-    assert len(ties["failures"]) == 3
-    assert ties["failures"][0]["witness"] == "forced witness"
-    assert ties["failures"][0]["case"] == 0
+    saturation = [p for p in report["properties"] if p["name"] == "saturation"][0]
+    assert saturation["status"] == "fail"
+    assert len(saturation["failures"]) == 3
+    assert saturation["failures"][0]["witness"] == "forced witness"
+    assert saturation["failures"][0]["case"] == 0

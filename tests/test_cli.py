@@ -180,12 +180,28 @@ def test_sum_output_reads_back(capsys, files, tmp_path, p2):
     assert "cone" in capsys.readouterr().out
 
 
+def test_diagram_file_cut_differently_reads_back(capsys, files):
+    # regions are compared as sets: one gap cell split in two along a ray
+    # still reads back, and to the same saturation and picture
+    original = files("ex.json", {"gens": EX_GENS})
+    blob = run_json(capsys, ["diagram", "P2", original])
+    gaps = blob["cones"]["0,2"]["gaps"]
+    assert gaps["cells"] == [{"0": [0, 0], "2": [0, 1]}]
+    gaps["cells"] = [{"0": [0, 0], "2": [0, 0]}, {"0": [0, 0], "2": [1, 1]}]
+    split = files("split.json", blob)
+    for command in ("saturate", "render"):
+        assert main([command, "P2", split]) == 0
+        cut = capsys.readouterr()
+        assert main([command, "P2", original]) == 0
+        assert cut == capsys.readouterr()
+
+
 def test_check_single_ideal(capsys, files):
     path = files("ex.json", {"gens": EX_GENS})
     rc = main(["check", "P2", path])
     captured = capsys.readouterr()
     assert rc == 0
-    for name in ("membership", "roundtrip", "hilbert", "saturation", "ties"):
+    for name in ("membership", "roundtrip", "hilbert", "saturation"):
         assert f"PASS {name}" in captured.out
     assert "FAIL" not in captured.out
 
@@ -411,6 +427,15 @@ def test_unwritable_out_exit_code(capsys, files, tmp_path, command, target):
     captured = capsys.readouterr()
     assert "error:" in captured.err and str(out) in captured.err
     assert not out.exists()
+
+
+def test_check_prints_nothing_when_out_fails(capsys, files, tmp_path):
+    # the report file is written before any PASS/FAIL line is printed
+    path = files("ex.json", {"gens": EX_GENS})
+    assert main(["check", "P2", path, "--out", str(tmp_path / "missing" / "x.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot write" in captured.err
 
 
 def test_hostile_files_exit_without_traceback(tmp_path):
