@@ -7,6 +7,7 @@ too small, 4 check failures.
 """
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -54,12 +55,15 @@ def _render_radius(args):
     return args.window
 
 
-def _load_ideal(path, fan):
-    obj = read_json(path)
+def _ideal_of(obj, path, fan):
     ideal = MonomialIdeal.from_json(obj, nvars=fan.nrays)
     if ideal.is_zero():
         raise InputError(f"{path}: the ideal has no generators")
     return ideal
+
+
+def _load_ideal(path, fan):
+    return _ideal_of(read_json(path), path, fan)
 
 
 def _load_diagram(path, grading):
@@ -70,19 +74,16 @@ def _load_diagram(path, grading):
     """
     fan = grading.fan
     obj = read_json(path)
-    if isinstance(obj, dict) and "cones" in obj:
-        diag = KlyachkoDiagram.from_json(fan, obj)
-        sat = reconstruct_generators(grading, diag)
-        found = diag.difference(compute_diagram(fan, sat))
-        if found is not None:
-            cone, part, _ = found
-            raise InputError(f"diagram cone {cone}: the {part} region differs "
-                             f"from that of {sat!r}, the ideal it reads back to")
-        return diag, sat
-    ideal = MonomialIdeal.from_json(obj, nvars=fan.nrays)
-    if ideal.is_zero():
-        raise InputError(f"{path}: the ideal has no generators")
-    return compute_diagram(fan, ideal), None
+    if not (isinstance(obj, dict) and "s" in obj):
+        return compute_diagram(fan, _ideal_of(obj, path, fan)), None
+    diag = KlyachkoDiagram.from_json(fan, obj)
+    sat = reconstruct_generators(grading, diag)
+    found = diag.difference(compute_diagram(fan, sat))
+    if found is not None:
+        cone, part, _ = found
+        raise InputError(f"diagram cone {cone}: the {part} region differs "
+                         f"from that of {sat!r}, the ideal it reads back to")
+    return diag, sat
 
 
 def _emit(payload, out):
@@ -203,6 +204,7 @@ def _add_common(sub, window=True):
     sub.add_argument("--out", default=None, help="write output to a file")
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="klyachko",
@@ -216,7 +218,6 @@ def build_parser():
     p.add_argument("--render", action="store_true",
                    help="also draw ASCII panels to stderr (dim 2 only)")
     _add_common(p)
-    p.set_defaults(func=cmd_diagram)
 
     p = subs.add_parser("saturate", help="reconstruct the saturated ideal")
     p.add_argument("fan")
@@ -224,7 +225,6 @@ def build_parser():
     p.add_argument("--box", default=None,
                    help="explicit class search box, e.g. 0..6 or 0..4,-2..3")
     _add_common(p, window=False)
-    p.set_defaults(func=cmd_saturate)
 
     p = subs.add_parser("hilbert", help="Hilbert function values")
     p.add_argument("fan")
@@ -232,21 +232,18 @@ def build_parser():
     p.add_argument("--degrees", required=True,
                    help="class ranges, e.g. -1..4 or 0..3,0..3")
     _add_common(p, window=False)
-    p.set_defaults(func=cmd_hilbert)
 
     p = subs.add_parser("h1", help="first local cohomology pieces")
     p.add_argument("fan")
     p.add_argument("ideal")
     p.add_argument("--degrees", required=True)
     _add_common(p, window=False)
-    p.set_defaults(func=cmd_h1)
 
     p = subs.add_parser("sum", help="diagram of a sum of two ideals")
     p.add_argument("fan")
     p.add_argument("first")
     p.add_argument("second")
     _add_common(p, window=False)
-    p.set_defaults(func=cmd_sum)
 
     p = subs.add_parser("check", help="cross-validate against brute force")
     p.add_argument("fan")
@@ -256,13 +253,11 @@ def build_parser():
                    help="number of random ideals (default 100)")
     p.add_argument("--seed", type=int, default=0)
     _add_common(p, window=False)
-    p.set_defaults(func=cmd_check)
 
     p = subs.add_parser("render", help="staircase picture (dim 2 only)")
     p.add_argument("fan")
     p.add_argument("input", help="ideal or diagram JSON path")
     _add_common(p)
-    p.set_defaults(func=cmd_render)
 
     return parser
 
@@ -286,10 +281,10 @@ def _merge_range_flags(argv):
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_merge_range_flags(list(argv)))
+    args = build_parser().parse_args(_merge_range_flags(list(argv)))
     try:
-        return args.func(args)
+        # looked up per call, so a rebound cmd_* (a tracer's wrapper) is the one run
+        return globals()[f"cmd_{args.command}"](args)
     except SearchBoxError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -7,7 +7,8 @@ from the filtration).  A diagram stores only the exponent floor and the gap
 sets of the maximal cones, which together determine the saturation of the
 ideal.  Every other entry is derived on demand: the support of a cone is
 the orthant of the floor, and the gaps of a face are the limit of the gaps
-of a maximal cone through it as the pairings off the face grow.
+of a maximal cone through it as the pairings off the face grow.  The JSON
+form is that stored data, so a file grows with the maximal cones only.
 
 ``compute_diagram`` is the one builder of diagrams from generators, and
 ``shift_diagram`` translates one.  The diagram of a sum is built from the
@@ -98,55 +99,34 @@ class KlyachkoDiagram:
         return None
 
     def to_json(self):
-        cones = {}
-        for cone in sorted(self.fan.cones):
-            key = ",".join(str(i) for i in cone)
-            cones[key] = {"support": self.support(cone).to_json(),
-                          "gaps": self.gaps(cone).to_json()}
-        return {"s": list(self.min_exponents), "cones": cones}
+        """{"s": floor, "gaps": {"i,j,...": cells}}, one key per maximal cone."""
+        gaps = {",".join(map(str, cone)): [c.to_json() for c in self._gaps[cone].cells]
+                for cone in self.fan.max_cones}
+        return {"s": list(self.min_exponents), "gaps": gaps}
 
     @classmethod
     def from_json(cls, fan, obj):
-        """A diagram from its JSON form, which lists every cone of the fan.
+        """A diagram from its JSON form, the data of ``cls(fan, s, gaps)``.
 
-        The maximal cones give the gaps; every support, and the gaps of
-        every face, must be the derived ones.
+        Each key of ``"gaps"`` names a maximal cone exactly, and every
+        maximal cone needs one.
         """
         try:
             s = list(obj["s"])
-            raw = obj["cones"]
+            raw = obj["gaps"]
         except (KeyError, TypeError) as exc:
             raise InputError(f"malformed diagram data: {exc}") from exc
         if not isinstance(raw, dict):
-            raise InputError("malformed diagram data: \"cones\" is not an object")
-        names = {",".join(map(str, cone)): cone for cone in fan.cones}
-        entries = {}
-        for key, val in raw.items():
+            raise InputError("malformed diagram data: \"gaps\" is not an object")
+        names = {",".join(map(str, cone)): cone for cone in fan.max_cones}
+        gaps = {}
+        for key, cells in raw.items():
             if key not in names:
-                raise InputError(f"diagram refers to a cone {key!r} not in the fan")
-            cone = names[key]
-            try:
-                support, gaps = val["support"], val["gaps"]
-            except (KeyError, TypeError) as exc:
-                raise InputError(f"malformed diagram cone {key!r}: {exc}") from exc
-            regions = [LatticeRegion.from_json(support), LatticeRegion.from_json(gaps)]
-            for region in regions:
-                if region.cone != cone:
-                    raise InputError(f"diagram cone {key!r} holds a region "
-                                     f"over cone {region.cone}")
-            entries[cone] = ConeEntry(*regions)
-        missing = [c for c in fan.cones if c not in entries]
-        if missing:
-            raise InputError(f"diagram is missing cones: {missing}")
-        diag = cls(fan, s, {cone: entries[cone].gaps for cone in fan.max_cones})
-        for cone in fan.cones:
-            if entries[cone].support.difference(diag.support(cone)) is not None:
-                raise InputError(f"diagram cone {cone}: the support is not the "
-                                 f"orthant of the exponent floor s")
-            if entries[cone].gaps.difference(diag.gaps(cone)) is not None:
-                raise InputError(f"diagram cone {cone}: the gaps are not those "
-                                 f"derived from a maximal cone through it")
-        return diag
+                raise InputError(f"diagram key {key!r} is not a maximal cone of the fan")
+            if not isinstance(cells, list):
+                raise InputError(f"malformed diagram data: gaps {key!r} is not a list")
+            gaps[names[key]] = LatticeRegion(names[key], map(Cell.from_json, cells))
+        return cls(fan, s, gaps)
 
 
 def support_region(fan, min_exponents, cone):

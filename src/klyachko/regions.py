@@ -272,18 +272,6 @@ class LatticeRegion:
                 return rest.cells[0]
         return None
 
-    def to_json(self):
-        return {"cone": list(self.cone), "cells": [c.to_json() for c in self.cells]}
-
-    @classmethod
-    def from_json(cls, obj):
-        try:
-            cone = tuple(json_int(ray, "cone ray") for ray in obj["cone"])
-            cells = [Cell.from_json(c) for c in obj["cells"]]
-        except (KeyError, TypeError) as exc:
-            raise InputError(f"malformed region data: {exc}") from exc
-        return cls(cone, cells)
-
     def __repr__(self):
         return f"LatticeRegion(cone={self.cone}, cells={list(self.cells)})"
 

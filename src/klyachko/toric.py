@@ -4,7 +4,8 @@ Conventions used throughout the package:
 
 * a fan lives in N = Z^n; rays are primitive integer vectors, cones are
   sorted tuples of ray indices, and ``max_cones`` all have n rays; the
-  full face list ``Fan.cones`` is built only when something asks for it;
+  full face list ``Fan.cones`` is built only when something asks for it
+  (a diagram's ``entries`` view and the membership check);
 * a character (point of the dual lattice M = Z^n) is a plain int tuple,
   paired with rays through ``Fan.pairing``;
 * the Cox ring has one variable per ray; a monomial is its exponent
@@ -45,7 +46,10 @@ class Fan:
 
     @cached_property
     def cones(self):
-        """Every face of every maximal cone, the trivial cone first; built on first use."""
+        """Every face of every maximal cone, the trivial cone first; built on first use.
+
+        Only ``KlyachkoDiagram.entries`` and the membership check ask for it.
+        """
         faces = {()}
         for cone in self.max_cones:
             for k in range(1, len(cone) + 1):

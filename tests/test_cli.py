@@ -108,7 +108,7 @@ def test_saturate_from_diagram_json(capsys, files, h3, monkeypatch):
 def test_saturate_diagram_without_members_exit_code(capsys, files, p2):
     diag = compute_diagram(p2, MonomialIdeal([(1, 1, 0)])).to_json()
     # a gap over the whole floor orthant of one maximal cone
-    diag["cones"]["1,2"]["gaps"]["cells"] = [{"1": [1, None], "2": [0, None]}]
+    diag["gaps"]["1,2"] = [{"1": [1, None], "2": [0, None]}]
     rc = main(["saturate", "P2", files("diag.json", diag)])
     captured = capsys.readouterr()
     assert rc == 2
@@ -185,15 +185,28 @@ def test_diagram_file_cut_differently_reads_back(capsys, files):
     # still reads back, and to the same saturation and picture
     original = files("ex.json", {"gens": EX_GENS})
     blob = run_json(capsys, ["diagram", "P2", original])
-    gaps = blob["cones"]["0,2"]["gaps"]
-    assert gaps["cells"] == [{"0": [0, 0], "2": [0, 1]}]
-    gaps["cells"] = [{"0": [0, 0], "2": [0, 0]}, {"0": [0, 0], "2": [1, 1]}]
+    assert blob["gaps"]["0,2"] == [{"0": [0, 0], "2": [0, 1]}]
+    blob["gaps"]["0,2"] = [{"0": [0, 0], "2": [0, 0]}, {"0": [0, 0], "2": [1, 1]}]
     split = files("split.json", blob)
     for command in ("saturate", "render"):
         assert main([command, "P2", split]) == 0
         cut = capsys.readouterr()
         assert main([command, "P2", original]) == 0
         assert cut == capsys.readouterr()
+
+
+def test_diagram_file_grows_with_the_maximal_cones(capsys, files, tmp_path):
+    # P14 has 15 maximal cones and 2^15 - 1 cones in all
+    ideal = files("line.json", {"gens": [[1] + [0] * 14, [0, 1] + [0] * 13]})
+    out = tmp_path / "diag.json"
+    assert main(["diagram", "P14", ideal, "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["gaps"]) == 15
+    assert out.stat().st_size < 20_000
+    outputs = []
+    for source in (ideal, str(out)):
+        assert main(["saturate", "P14", source]) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
 
 
 def test_check_single_ideal(capsys, files):
@@ -336,22 +349,25 @@ def test_check_rejects_window_flag(capsys):
 def test_hostile_json_exit_code(capsys, files, tmp_path, p2):
     blob = compute_diagram(p2, MonomialIdeal(EX_GENS)).to_json()
     far_ray = json.loads(json.dumps(blob))
-    far_ray["cones"]["1,2"]["gaps"]["cells"] = [{"7": [0, 0]}]
-    wrong_cone = json.loads(json.dumps(blob))
-    wrong_cone["cones"]["1,2"]["gaps"] = {"cone": [0, 1], "cells": []}
+    far_ray["gaps"]["1,2"] = [{"7": [0, 0]}]
     float_floor = dict(blob, s=[0, 0.5, 0])
     padded_key = json.loads(json.dumps(blob))
-    padded_key["cones"][" +0 ,1"] = padded_key["cones"].pop("0,1")
+    padded_key["gaps"][" +0 ,1"] = padded_key["gaps"].pop("0,1")
     twin_key = json.loads(json.dumps(blob))
-    twin_key["cones"]["00,1"] = {"support": blob["cones"]["0,1"]["support"],
-                                 "gaps": {"cone": [0, 1], "cells": [{"0": [0, 0]}]}}
-    moved_support = json.loads(json.dumps(blob))
-    moved_support["cones"]["1,2"]["support"]["cells"] = [{"1": [3, None], "2": [0, None]}]
-    face_gaps = json.loads(json.dumps(blob))
-    face_gaps["cones"]["1"]["gaps"]["cells"] = [{"1": [0, 0]}]
+    twin_key["gaps"]["00,1"] = [{"0": [0, 0]}]
+    face_key = json.loads(json.dumps(blob))
+    face_key["gaps"]["1"] = []
+    missing_cone = json.loads(json.dumps(blob))
+    del missing_cone["gaps"]["0,2"]
+    gaps_not_list = json.loads(json.dumps(blob))
+    gaps_not_list["gaps"]["1,2"] = {"1": [0, 0]}
+    # the former format, which listed a support and gaps for every face
+    old_format = {"s": blob["s"], "cones": {
+        "1,2": {"support": {"cone": [1, 2], "cells": [{"1": [0, None], "2": [0, None]}]},
+                "gaps": {"cone": [1, 2], "cells": blob["gaps"]["1,2"]}}}}
     # a bounded gap cell that no ideal has: reads back to (x0^2, x1*x2) all the same
     island = compute_diagram(p2, MonomialIdeal([(2, 0, 0), (0, 1, 1)])).to_json()
-    island["cones"]["1,2"]["gaps"]["cells"].append({"1": [5, 6], "2": [5, 6]})
+    island["gaps"]["1,2"].append({"1": [5, 6], "2": [5, 6]})
     p2_json = p2.to_json()
     unreadable = {"nested 200,000 deep": "[" * 200_000 + "]" * 200_000,
                   "not UTF-8": b'{"gens": [[0, 0, 2]], "name": "\xff"}'}
@@ -361,16 +377,19 @@ def test_hostile_json_exit_code(capsys, files, tmp_path, p2):
         "float exponent": {"gens": [[0, 1.7, 2]]},
         "bool exponent": {"gens": [[0, True, 2]]},
         "cell ray outside the cone": far_ray,
-        "region cone differs from its key": wrong_cone,
         "float exponent floor": float_floor,
         "cone key with sign and spaces": padded_key,
         "cone key with a leading zero": twin_key,
-        "support off the floor orthant": moved_support,
-        "face gaps off the derived ones": face_gaps,
+        "face key": face_key,
+        "missing maximal cone": missing_cone,
+        "gaps not a list": gaps_not_list,
+        "old format": old_format,
         "island gap cell": island,
     }
-    named = {"support off the floor orthant": "cone (1, 2)",
-             "face gaps off the derived ones": "cone (1,)",
+    named = {"face key": "'1'",
+             "missing maximal cone": "(0, 2)",
+             "gaps not a list": "'1,2'",
+             "old format": "'gaps'",
              "island gap cell": "cone (1, 2)"}
     fans = {
         "float and bool ray entries": dict(p2_json, rays=[[-1, -1], [1.9, 0], [0, True]]),
@@ -401,17 +420,16 @@ def test_hostile_json_exit_code(capsys, files, tmp_path, p2):
     # a repeated cone key: the last "1,2" entry, with no gaps, would make this
     # a valid diagram of (x2^2, x0)
     cones = ", ".join(f"{json.dumps(key)}: {json.dumps(val)}"
-                      for key, val in blob["cones"].items())
-    twin = {"support": blob["cones"]["1,2"]["support"], "gaps": {"cone": [1, 2], "cells": []}}
+                      for key, val in blob["gaps"].items())
     repeated = tmp_path / "repeated.json"
     repeated.write_text(f'{{"s": {json.dumps(blob["s"])}, '
-                        f'"cones": {{{cones}, "1,2": {json.dumps(twin)}}}}}')
+                        f'"gaps": {{{cones}, "1,2": []}}}}')
     for argv in (["saturate", "P2", str(repeated)], ["render", "P2", str(repeated)]):
         assert main(argv) == 2
         assert "repeats the key '1,2'" in capsys.readouterr().err
     # ray keys "1" and "01" alias: read by int(), the last [0, 0] would hide [7, 7]
     aliased = json.loads(json.dumps(blob))
-    aliased["cones"]["1,2"]["gaps"]["cells"] = [{"1": [7, 7], "2": [0, 0], "01": [0, 0]}]
+    aliased["gaps"]["1,2"] = [{"1": [7, 7], "2": [0, 0], "01": [0, 0]}]
     aliased_path = files("aliased.json", aliased)
     for command in ("saturate", "render"):
         assert main([command, "P2", aliased_path]) == 2
