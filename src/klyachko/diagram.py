@@ -184,13 +184,11 @@ def compute_diagram(fan, ideal):
 def gaps_by_definition(fan, ideal, cone):
     """Gap set computed straight from the definition, for cross-checking.
 
-    Support minus the union of the generators' orthants; no recursion.
+    Support minus the union of the generators' orthants, in one subtraction;
+    no recursion.
     """
-    s = ideal.min_exponents()
-    region = support_region(fan, s, cone)
-    for g in ideal.gens:
-        region = region - support_region(fan, g, cone)
-    return region
+    orthants = [cell for g in ideal.gens for cell in support_region(fan, g, cone).cells]
+    return support_region(fan, ideal.min_exponents(), cone) - LatticeRegion(cone, orthants)
 
 
 def shift_diagram(fan, diag, divisor):

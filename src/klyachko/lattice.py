@@ -162,11 +162,6 @@ def lattice_fibers(rows, d):
 def enumerate_lattice_points(rows, d):
     """All integer points of the system, sorted.  Raises if unbounded."""
     if d == 0:
-        return [()] * count_lattice_points(rows, 0)
+        return [() for _ in lattice_fibers(rows, 0)]
     return [prefix + (v,) for prefix, lo, hi in lattice_fibers(rows, d)
             for v in range(lo, hi + 1)]
-
-
-def count_lattice_points(rows, d):
-    """Number of integer points: the fiber lengths, summed."""
-    return sum(hi - lo + 1 for _, lo, hi in lattice_fibers(rows, d))

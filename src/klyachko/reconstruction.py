@@ -5,7 +5,8 @@ divisor lift D names the monomial with exponent vector <m, rho> + D_rho.
 The minimal generators of the saturated ideal are read off the diagram by
 one bitset over the breakpoint grid of the exponent box [s, K], the values
 where some gap cell starts or ends: every gap cell is painted in as a box
-of grid points, and one shift per ray leaves the minimal members.  The
+of grid points by ``regions.box_mask``, the painter that the region
+algebra uses too, and one shift per ray leaves the minimal members.  The
 diagram of a sum is ``compute_diagram`` of the two saturations' generators
 together, so it needs no region algebra of its own.  Graded pieces and
 H^1 pieces are expanded from the member intervals of
@@ -18,6 +19,7 @@ from .diagram import compute_diagram
 from .errors import InputError, SearchBoxError, json_int
 from .hilbert import interval_minus, walk_fibers
 from .monomials import MonomialIdeal, monomial_str
+from .regions import box_mask, grid_strides, mask_indices
 
 
 class GradedPiece:
@@ -103,28 +105,6 @@ def _breakpoints(fan, diag, caps):
     return [sorted(p) for p in points]
 
 
-def _box_mask(ranges, strides):
-    """Bitset of the grid points whose index on each ray r is in range(*ranges[r]).
-
-    Built from the fastest ray outward: the box over the later rays is
-    repeated once per index of the next ray by doubling shifts, so the cost
-    is linear in the box's span, and no grid-sized mask is kept.
-    """
-    mask = 1
-    for (a, b), stride in zip(reversed(ranges), reversed(strides)):
-        count, out, offset, width = b - a, 0, 0, stride
-        while count:
-            if count & 1:
-                out |= mask << offset
-                offset += width
-            count >>= 1
-            if count:
-                mask |= mask << width
-                width *= 2
-        mask = out << (a * stride)
-    return mask
-
-
 def minimal_generator_exponents(fan, diag):
     """Exponent vectors of the saturation's minimal generators.
 
@@ -144,9 +124,7 @@ def minimal_generator_exponents(fan, diag):
     caps = exponent_caps(fan, diag)
     grid = _breakpoints(fan, diag, caps)
     sizes = [len(points) for points in grid]
-    strides = [1] * fan.nrays
-    for r in reversed(range(fan.nrays - 1)):
-        strides[r] = strides[r + 1] * sizes[r + 1]
+    strides = grid_strides(sizes)
     full = (1 << (strides[0] * sizes[0])) - 1
 
     gaps = 0
@@ -158,29 +136,20 @@ def minimal_generator_exponents(fan, diag):
                 ranges[ray] = (0 if lo is None else bisect_left(points, lo),
                                sizes[ray] if hi is None else bisect_right(points, hi))
             if all(a < b for a, b in ranges):
-                gaps |= _box_mask(ranges, strides)
+                gaps |= box_mask(ranges, strides)
     members = full & ~gaps
 
     lower = 0
     for r in range(fan.nrays):
         # a shift by stride r steps every point one breakpoint up ray r; the band
         # (index >= 1 on ray r) drops the steps that wrapped into the next row
-        band = _box_mask([(1, size) if q == r else (0, size)
-                          for q, size in enumerate(sizes)], strides)
+        band = box_mask([(1, size) if q == r else (0, size)
+                         for q, size in enumerate(sizes)], strides)
         lower |= (members << strides[r]) & band
     minimal = members & ~lower
 
-    found = []
-    bits = bin(minimal)   # "0b" and the most significant bit first
-    top = len(bits) - 1
-    j = bits.rfind("1", 2)
-    while j >= 0:
-        point, rest = [], top - j
-        for points, stride in zip(grid, strides):
-            k, rest = divmod(rest, stride)
-            point.append(points[k])
-        found.append(tuple(point))
-        j = bits.rfind("1", 2, j)
+    found = [tuple(points[k] for points, k in zip(grid, index))
+             for index in mask_indices(minimal, strides)]
     return caps, found
 
 

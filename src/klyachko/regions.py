@@ -5,34 +5,29 @@ the pairings <m, rho> with the cone's rays.  We represent such sets as
 finite unions of cells, where each cell holds an interval per constrained
 ray.  ``None`` means the side is unbounded; a ray that is absent from a
 cell is unconstrained.  Lower bounds may be None as well: complements of
-half-spaces show up when differences are taken, so the algebra has to be
-closed under that.
+half-spaces show up when differences are taken.
 
-Every region is canonical: its cells are nonempty, pairwise non-nested and
-sorted by ``Cell.sort_key``.  ``LatticeRegion(cone, cells)`` establishes
-this by pruning, as does ``-``, whose cells can nest.  ``LatticeRegion._of``
-only sorts, for results that are canonical by construction: ``empty``,
-``full`` and ``orthant`` (zero cells or one), ``shift`` (a translation),
-and the pairwise disjoint bands of ``compute_diagram``.
-``difference`` compares two regions exactly, over all of M.  Lattice points
-over a maximal cone are listed and counted by one walk over disjoint cells.
+A region's cells are nonempty and sorted by ``Cell.sort_key``; they may
+overlap or nest, and nothing prunes them.  ``LatticeRegion(cone, cells)``
+drops empty cells and sorts; ``LatticeRegion._of`` only sorts, for cells
+that are nonempty by construction.
+
+Every set operation runs on one bitset.  The cells' bounds lo and hi + 1
+cut each ray of the cone into bands, and every cell is a box of band
+boxes, so a set built from the cells is a subset of that finite breakpoint
+grid.  ``-`` is a masked difference of two painted bitsets, ``difference``
+the first band box of their symmetric difference, decided exactly over all
+of M, and lattice points over a maximal cone are listed and counted band
+box by band box.  ``box_mask`` paints and ``mask_indices`` walks the set
+bits; the saturation scan of ``reconstruction`` uses them on its own grid.
 """
 
+from bisect import bisect_right
 from itertools import product
 from math import prod
 
 from .errors import InfiniteRegionError, InputError, json_int
 from .lattice import UnboundedRegionError, lattice_fibers
-
-def _isect(a, b):
-    lo = b[0] if a[0] is None else a[0] if b[0] is None else max(a[0], b[0])
-    hi = b[1] if a[1] is None else a[1] if b[1] is None else min(a[1], b[1])
-    return (lo, hi)
-
-
-def _interval_empty(iv):
-    lo, hi = iv
-    return lo is not None and hi is not None and lo > hi
 
 
 class Cell:
@@ -56,13 +51,6 @@ class Cell:
         cell.bounds = bounds
         return cell
 
-    @classmethod
-    def _with(cls, bounds, ray, iv):
-        """The cell of the ray -> interval map ``bounds`` with ``ray`` set to ``iv``."""
-        merged = dict(bounds)
-        merged[ray] = iv
-        return cls._of(tuple(sorted(merged.items())))
-
     def interval(self, ray):
         for r, iv in self.bounds:
             if r == ray:
@@ -73,7 +61,8 @@ class Cell:
         return tuple(r for r, _ in self.bounds)
 
     def is_empty(self):
-        return any(_interval_empty(iv) for _, iv in self.bounds)
+        return any(lo is not None and hi is not None and lo > hi
+                   for _, (lo, hi) in self.bounds)
 
     def contains_values(self, value_at):
         """Membership given pairing values; value_at maps ray index -> int."""
@@ -84,45 +73,6 @@ class Cell:
             if hi is not None and v > hi:
                 return False
         return True
-
-    def within(self, other):
-        """Whether this box is contained in ``other``."""
-        mine = dict(self.bounds)
-        for ray, (lo, hi) in other.bounds:
-            ilo, ihi = mine.get(ray, (None, None))
-            if (lo is not None and (ilo is None or ilo < lo)
-                    or hi is not None and (ihi is None or ihi > hi)):
-                return False
-        return True
-
-    def intersect(self, other):
-        merged = dict(self.bounds)
-        for ray, iv in other.bounds:
-            if ray in merged:
-                iv = _isect(merged[ray], iv)
-                if _interval_empty(iv):
-                    return None
-            merged[ray] = iv
-        return Cell._of(tuple(sorted(merged.items())))
-
-    def minus(self, other):
-        """This box minus another, as a list of disjoint boxes."""
-        if self.intersect(other) is None:
-            return [self]
-        pieces = []
-        current = dict(self.bounds)
-        for ray, (blo, bhi) in other.bounds:
-            alo, ahi = current.get(ray, (None, None))
-            if blo is not None:
-                below = (alo, blo - 1 if ahi is None else min(ahi, blo - 1))
-                if not _interval_empty(below):
-                    pieces.append(Cell._with(current, ray, below))
-            if bhi is not None:
-                above = (bhi + 1 if alo is None else max(alo, bhi + 1), ahi)
-                if not _interval_empty(above):
-                    pieces.append(Cell._with(current, ray, above))
-            current[ray] = _isect((alo, ahi), (blo, bhi))
-        return pieces
 
     def sort_key(self):
         # a lower None (-infinity) sorts first, an upper None (+infinity) last
@@ -157,21 +107,105 @@ class Cell:
         return cls(bounds)
 
 
-def _prune(cells):
-    """Drop empty cells and cells contained in another cell."""
-    kept = []
-    cells = [c for c in cells if not c.is_empty()]
-    for i, c in enumerate(cells):
-        redundant = False
-        for j, d in enumerate(cells):
-            if i == j:
-                continue
-            if c.within(d) and not (d.within(c) and j > i):
-                redundant = True
-                break
-        if not redundant:
-            kept.append(c)
-    return kept
+def grid_strides(sizes):
+    """Bit strides of a grid with the given axis sizes, the last axis fastest.
+
+    A grid point's bit is the sum of its axis indices times the strides, as
+    in ``itertools.product`` order.
+    """
+    strides = [1] * len(sizes)
+    for i in reversed(range(len(sizes) - 1)):
+        strides[i] = strides[i + 1] * sizes[i + 1]
+    return strides
+
+
+def box_mask(ranges, strides):
+    """Bitset of the grid points whose index on each axis i is in range(*ranges[i]).
+
+    Every range must be nonempty.  Built from the fastest axis outward: the
+    box over the later axes is repeated once per index of the next axis by
+    doubling shifts, so the cost is linear in the box's span, and no
+    grid-sized mask is kept.
+    """
+    mask = 1
+    for (a, b), stride in zip(reversed(ranges), reversed(strides)):
+        count, out, offset, width = b - a, 0, 0, stride
+        while count:
+            if count & 1:
+                out |= mask << offset
+                offset += width
+            count >>= 1
+            if count:
+                mask |= mask << width
+                width *= 2
+        mask = out << (a * stride)
+    return mask
+
+
+def mask_indices(mask, strides):
+    """Per set bit of the mask, lowest first, its list of axis indices."""
+    bits = bin(mask)   # "0b" and the most significant bit first
+    top = len(bits) - 1
+    j = bits.rfind("1", 2)
+    while j >= 0:
+        index, rest = [], top - j
+        for stride in strides:
+            k, rest = divmod(rest, stride)
+            index.append(k)
+        yield index
+        j = bits.rfind("1", 2, j)
+
+
+class _BandGrid:
+    """The breakpoint grid of some cells over a cone.
+
+    On each ray of the cone the breakpoints are the cells' bounds lo and
+    hi + 1.  They cut the ray into bands, one open below, one open above,
+    and no cell starts or ends inside a band.  So every cell is a box of
+    band boxes, and any set built from the cells is a bitset with one bit
+    per band box, the last ray fastest.
+    """
+
+    __slots__ = ("cone", "axis", "points", "sizes", "strides")
+
+    def __init__(self, cone, cells):
+        self.cone = cone
+        self.axis = {ray: i for i, ray in enumerate(cone)}
+        points = [set() for _ in cone]
+        for cell in cells:
+            for ray, (lo, hi) in cell.bounds:
+                if lo is not None:
+                    points[self.axis[ray]].add(lo)
+                if hi is not None:
+                    points[self.axis[ray]].add(hi + 1)
+        self.points = [sorted(p) for p in points]
+        self.sizes = [len(p) + 1 for p in self.points]
+        self.strides = grid_strides(self.sizes)
+
+    def paint(self, cells):
+        """The bitset of the union of nonempty cells whose bounds are on the grid."""
+        mask = 0
+        for cell in cells:
+            ranges = [(0, size) for size in self.sizes]
+            for ray, (lo, hi) in cell.bounds:
+                i = self.axis[ray]
+                # band k holds the values v with k breakpoints <= v
+                ranges[i] = (0 if lo is None else bisect_right(self.points[i], lo),
+                             self.sizes[i] if hi is None
+                             else bisect_right(self.points[i], hi) + 1)
+            mask |= box_mask(ranges, self.strides)
+        return mask
+
+    def cells(self, mask):
+        """The band boxes of the set bits, lowest bit first, as cells."""
+        for index in mask_indices(mask, self.strides):
+            bounds = []
+            for ray, points, k in zip(self.cone, self.points, index):
+                band = (points[k - 1] if k else None,
+                        points[k] - 1 if k < len(points) else None)
+                if band != (None, None):
+                    bounds.append((ray, band))
+            yield Cell._of(tuple(sorted(bounds)))
 
 
 class LatticeRegion:
@@ -186,13 +220,12 @@ class LatticeRegion:
             if not set(cell.rays()) <= set(self.cone):
                 raise InputError(f"cell {cell!r} constrains a ray outside "
                                  f"the cone {self.cone}")
-        pruned = _prune(cells)
-        pruned.sort(key=Cell.sort_key)
-        self.cells = tuple(pruned)
+        self.cells = tuple(sorted((c for c in cells if not c.is_empty()),
+                                  key=Cell.sort_key))
 
     @classmethod
     def _of(cls, cone, cells):
-        """A region from nonempty, pairwise non-nested cells: only sorts."""
+        """A region from nonempty cells of the cone: only sorts."""
         region = object.__new__(cls)
         region.cone = tuple(cone)
         region.cells = tuple(sorted(cells, key=Cell.sort_key))
@@ -220,13 +253,9 @@ class LatticeRegion:
 
     def __sub__(self, other):
         self._check_cone(other)
-        remaining = list(self.cells)
-        for b in other.cells:
-            nxt = []
-            for a in remaining:
-                nxt.extend(a.minus(b))
-            remaining = nxt
-        return LatticeRegion(self.cone, remaining)
+        grid = _BandGrid(self.cone, self.cells + other.cells)
+        mask = grid.paint(self.cells) & ~grid.paint(other.cells)
+        return LatticeRegion._of(self.cone, grid.cells(mask))
 
     def contains_values(self, value_at):
         return any(c.contains_values(value_at) for c in self.cells)
@@ -244,64 +273,50 @@ class LatticeRegion:
                            for ray, (lo, hi) in cell.bounds))
             for cell in self.cells])
 
-    def disjoint_cells(self):
-        """Pairwise disjoint cells with the same union, for counting."""
-        out = []
-        for cell in self.cells:
-            pieces = [cell]
-            for prev in out:
-                nxt = []
-                for p in pieces:
-                    nxt.extend(p.minus(prev))
-                pieces = nxt
-            out.extend(pieces)
-        return out
-
     def difference(self, other):
-        """The first cell of ``self - other`` or of ``other - self``.
+        """The first band box of the breakpoint grid in exactly one of the regions.
 
         None exactly when the two regions are the same set of characters,
         however their cells are presented.
         """
         self._check_cone(other)
         if self.cells == other.cells:
-            # regions are stored pruned and sorted, so this is the common case
+            # regions are stored sorted, so this is the common case
             return None
-        for rest in (self - other, other - self):
-            if rest.cells:
-                return rest.cells[0]
-        return None
+        grid = _BandGrid(self.cone, self.cells + other.cells)
+        return next(grid.cells(grid.paint(self.cells) ^ grid.paint(other.cells)), None)
 
     def __repr__(self):
         return f"LatticeRegion(cone={self.cone}, cells={list(self.cells)})"
 
 
-def _cell_ranges(fan, region):
-    """Per disjoint cell of a region over a maximal cone, a range per cone ray.
+def _band_ranges(fan, region):
+    """Per band box of a region over a maximal cone, a range per cone ray.
 
     Raises InfiniteRegionError, with the cell as witness, at the first
-    unbounded cell.
+    stored cell that is unbounded on a ray of the cone.
     """
     if len(region.cone) != fan.dim:
         raise InputError(f"cone {region.cone} is not maximal")
-    for cell in region.disjoint_cells():
-        bounds = [cell.interval(ray) for ray in region.cone]
-        if any(None in iv for iv in bounds):
+    for cell in region.cells:
+        if any(None in cell.interval(ray) for ray in region.cone):
             raise InfiniteRegionError(
                 f"cell {cell!r} over cone {region.cone} is unbounded", witness=cell)
-        yield [range(lo, hi + 1) for lo, hi in bounds]
+    grid = _BandGrid(region.cone, region.cells)
+    for box in grid.cells(grid.paint(region.cells)):
+        # every cell is bounded, so no band box of their union is open
+        yield [range(lo, hi + 1) for lo, hi in map(box.interval, region.cone)]
 
 
 def region_points(fan, region):
     """All characters in a region over a maximal cone, sorted."""
     return sorted(fan.character(region.cone, y)
-                  for ranges in _cell_ranges(fan, region) for y in product(*ranges))
+                  for ranges in _band_ranges(fan, region) for y in product(*ranges))
 
 
 def count_region_points(fan, region):
     """Number of characters in a region over a maximal cone."""
-    return sum(prod(r.stop - r.start for r in ranges)
-               for ranges in _cell_ranges(fan, region))
+    return sum(prod(map(len, ranges)) for ranges in _band_ranges(fan, region))
 
 
 def section_fibers(fan, divisor):

@@ -45,6 +45,12 @@ def _classify(fan, diag, cone, m):
     return FILLED
 
 
+def _mark_rows(fan, diag, cone, r):
+    """Rows of marks over the window [-r, r]^2, top row first, left to right."""
+    for m2 in range(r, -r - 1, -1):
+        yield [_classify(fan, diag, cone, (m1, m2)) for m1 in range(-r, r + 1)]
+
+
 def ascii_diagram(fan, diag, radius=None):
     """One text panel per maximal cone, drawn in character coordinates."""
     _require_plane(fan)
@@ -54,13 +60,9 @@ def ascii_diagram(fan, diag, radius=None):
         rays = ", ".join(str(fan.rays[i]) for i in cone)
         lines = [f"cone {cone}  rays {rays}",
                  f"window [{-r}, {r}]^2, {FILLED} member  {GAP} gap  {OUTSIDE} outside"]
-        for m2 in range(r, -r - 1, -1):
-            row = []
-            for m1 in range(-r, r + 1):
-                mark = _classify(fan, diag, cone, (m1, m2))
-                if mark == OUTSIDE and (m1, m2) == (0, 0):
-                    mark = "+"
-                row.append(mark)
+        for i, row in enumerate(_mark_rows(fan, diag, cone, r)):
+            if i == r and row[r] == OUTSIDE:
+                row[r] = "+"   # the origin
             lines.append(" ".join(row))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n"
@@ -97,14 +99,12 @@ def svg_diagram(fan, diag, radius=None):
                      f'font-size="13" fill="#333">cone {cone} rays {rays}</text>')
         parts.append(f'<rect x="{ox - 4}" y="{oy - 4}" width="{panel + 8}" '
                      f'height="{panel + 8}" fill="none" stroke="#888"/>')
-        for m2 in range(r, -r - 1, -1):
-            for m1 in range(-r, r + 1):
-                px = ox + (m1 + r) * cell
-                py = oy + (r - m2) * cell
-                mark = _classify(fan, diag, cone, (m1, m2))
-                tpl = _SVG_STYLE[mark]
-                parts.append(tpl.format(x=px + 2, y=py + 2,
-                                        cx=px + cell // 2, cy=py + cell // 2))
+        for i, row in enumerate(_mark_rows(fan, diag, cone, r)):
+            py = oy + i * cell
+            for j, mark in enumerate(row):
+                px = ox + j * cell
+                parts.append(_SVG_STYLE[mark].format(x=px + 2, y=py + 2,
+                                                     cx=px + cell // 2, cy=py + cell // 2))
         axis_x = ox + r * cell + cell // 2
         axis_y = oy + r * cell + cell // 2
         parts.append(f'<circle cx="{axis_x}" cy="{axis_y}" r="2.5" fill="#111"/>')

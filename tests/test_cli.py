@@ -195,6 +195,22 @@ def test_diagram_file_cut_differently_reads_back(capsys, files):
         assert cut == capsys.readouterr()
 
 
+def test_diagram_file_with_redundant_cells_reads_back(capsys, files):
+    # regions keep the cells they are given: a duplicated gap cell and a cell
+    # nested inside it change no set, so the file still reads back
+    original = files("ex.json", {"gens": EX_GENS})
+    blob = run_json(capsys, ["diagram", "P2", original])
+    cell = {"0": [0, 0], "2": [0, 1]}
+    assert blob["gaps"]["0,2"] == [cell]
+    blob["gaps"]["0,2"] = [cell, cell, {"0": [0, 0], "2": [1, 1]}]
+    redundant = files("redundant.json", blob)
+    assert main(["saturate", "P2", redundant]) == 0
+    kept = capsys.readouterr()
+    assert main(["saturate", "P2", original]) == 0
+    assert kept == capsys.readouterr()
+    assert main(["render", "P2", redundant]) == 0
+
+
 def test_diagram_file_grows_with_the_maximal_cones(capsys, files, tmp_path):
     # P14 has 15 maximal cones and 2^15 - 1 cones in all
     ideal = files("line.json", {"gens": [[1] + [0] * 14, [0, 1] + [0] * 13]})

@@ -9,7 +9,7 @@ from klyachko import (Cell, Fan, InputError, KlyachkoDiagram, LatticeRegion,
                       MonomialIdeal, compute_diagram, compute_grading,
                       gaps_by_definition, hilbert_value, hirzebruch, ideal_sum,
                       named_fan, product_of_projective_spaces, projective_space,
-                      reconstruct_generators, regions, saturate_oracle, shift_diagram,
+                      reconstruct_generators, saturate_oracle, shift_diagram,
                       sum_diagram)
 from klyachko.checks import random_ideal
 
@@ -253,8 +253,8 @@ def test_faces_are_not_listed():
 @settings(max_examples=40)
 @given(fans_ideal_pairs())
 def test_built_regions_are_canonical(case):
-    # compute, sum and shift skip the prune; rebuilding through the pruning
-    # constructor must give back the same cells
+    # compute, sum and shift skip the constructor; rebuilding through it,
+    # which drops empty cells and sorts, must give back the same cells
     fan, first, second, divisor = case
     diags = [compute_diagram(fan, first), compute_diagram(fan, second)]
     diags.append(sum_diagram(fan, *diags))
@@ -263,36 +263,6 @@ def test_built_regions_are_canonical(case):
     for entry in entries:
         for region in entry:
             assert LatticeRegion(region.cone, region.cells).cells == region.cells
-
-
-# compute, sum and shift build every region canonical by construction, so
-# they never call the prune
-PRUNE_CASES = [
-    ("P2xP2", [(2, 0, 1, 0, 3, 1), (0, 3, 1, 2, 0, 0), (1, 1, 0, 0, 2, 2), (3, 2, 2, 1, 1, 0)],
-     [(0, 2, 2, 1, 0, 3), (2, 1, 0, 3, 1, 1), (1, 0, 3, 0, 2, 0), (0, 0, 1, 2, 3, 2)],
-     (1, -2, 0, 3, -1, 2)),
-    ("P4", [(2, 0, 1, 3, 0), (0, 3, 1, 0, 2), (1, 1, 0, 2, 2), (3, 2, 2, 0, 1)],
-     [(0, 2, 3, 1, 0), (2, 1, 0, 2, 3), (1, 0, 2, 3, 1), (0, 3, 1, 1, 2)],
-     (2, -1, 0, 1, -3)),
-]
-
-
-@pytest.mark.parametrize("name,first,second,divisor", PRUNE_CASES,
-                         ids=[case[0] for case in PRUNE_CASES])
-def test_prune_work_is_bounded(monkeypatch, name, first, second, divisor):
-    offered = []
-    prune = regions._prune
-
-    def counting(cells):
-        offered.append(len(cells))
-        return prune(cells)
-
-    monkeypatch.setattr(regions, "_prune", counting)
-    fan = named_fan(name)
-    total = sum_diagram(fan, compute_diagram(fan, MonomialIdeal(first)),
-                        compute_diagram(fan, MonomialIdeal(second)))
-    shift_diagram(fan, total, divisor)
-    assert offered == []
 
 
 # total gap cells over the maximal cones of 20 seeded ideals per fan (up to

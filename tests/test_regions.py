@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from klyachko import (Cell, InfiniteRegionError, InputError, LatticeRegion,
-                      count_region_points, region_points)
+                      count_region_points, projective_space, region_points)
 from klyachko.regions import section_fibers
 
 CONE = (0, 1)
@@ -110,20 +110,34 @@ def test_empty_cells_are_dropped():
     assert LatticeRegion.empty(CONE).is_empty()
 
 
-def test_contained_cells_are_pruned():
-    region = LatticeRegion(CONE, [Cell({0: (0, 5)}), Cell({0: (1, 3), 1: (0, 0)})])
-    assert region.cells == (Cell({0: (0, 5)}),)
+BOUNDED_FANS = [projective_space(2), projective_space(3)]
 
 
-@settings(max_examples=60)
-@given(regions())
-def test_disjoint_cells_preserve_membership(region):
-    pieces = region.disjoint_cells()
-    rebuilt = LatticeRegion(CONE, pieces)
-    assert members(rebuilt) == members(region)
-    for i, c in enumerate(pieces):
-        for d in pieces[i + 1:]:
-            assert c.intersect(d) is None
+@st.composite
+def bounded_regions(draw):
+    """A maximal cone of P2 or P3 and a region of up to four bounded cells.
+
+    Lower bounds lie in [-3, 4] and hi - lo in [-1, 3], so cells overlap
+    often and are now and then empty.
+    """
+    fan = draw(st.sampled_from(BOUNDED_FANS))
+    cone = draw(st.sampled_from(fan.max_cones))
+    interval = st.tuples(st.integers(-3, 4), st.integers(-1, 3)).map(
+        lambda lo_width: (lo_width[0], lo_width[0] + lo_width[1]))
+    cell = st.fixed_dictionaries({ray: interval for ray in cone}).map(Cell)
+    return fan, LatticeRegion(cone, draw(st.lists(cell, max_size=4)))
+
+
+@settings(max_examples=80)
+@given(bounded_regions())
+def test_region_points_match_a_membership_scan(case):
+    fan, region = case
+    points = region_points(fan, region)
+    assert count_region_points(fan, region) == len(points)
+    # every bound lies in [-3, 7], so the window holds every member
+    window = itertools.product(range(-3, 8), repeat=len(region.cone))
+    assert points == sorted(fan.character(region.cone, y) for y in window
+                            if region.contains_values(dict(zip(region.cone, y))))
 
 
 def test_equivalent_ignores_presentation():
