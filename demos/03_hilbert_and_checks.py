@@ -2,10 +2,13 @@
 Hilbert functions and the cross-check harness
 =============================================
 
-The gap regions of a diagram count exactly the monomials missing from
-the ideal in each degree, so the Hilbert function of the quotient R/I
-drops out of the diagram by pure lattice-point counting.  The same
-counting decides whether the function eventually becomes a constant.
+A diagram reads back the generators of the saturation I^sat, and their
+K-polynomial, the numerator of the Hilbert series, gives the Hilbert
+function of R/I^sat at every class: a sum of its coefficients times the
+dimensions of the Cox ring's pieces, which on nef classes are one
+polynomial per fan.  A value at degree 10^9 costs what one at degree 5
+does.  Counting the gap characters decides whether the function
+eventually becomes a constant.
 
 Everything in the package is double-checked against brute-force
 monomial algebra; the harness at the end runs that comparison over a
@@ -43,6 +46,7 @@ space = compute_diagram(p3, MonomialIdeal([(1, 1, 0, 0), (0, 1, 1, 2),
                                            (0, 0, 2, 0)]))
 print("\nh values on the space example:",
       [hilbert_value(compute_grading(p3), space, (a,)) for a in range(9)])
+print("h at degree 10^9:", hilbert_value(compute_grading(p3), space, (10 ** 9,)))
 constant, note = constant_hilbert_poly(p3, space)
 print("eventual constant:", constant)
 print("reason:", note)

@@ -15,7 +15,7 @@ import sys
 from .checks import check_report, run_suite
 from .diagram import KlyachkoDiagram, compute_diagram
 from .errors import InputError, KlyachkoError, SearchBoxError, read_json
-from .hilbert import constant_hilbert_poly, hilbert_value
+from .hilbert import constant_hilbert_poly, hilbert_values
 from .monomials import MonomialIdeal, ideal_sum, monomial_str
 from .reconstruction import (check_search_box, local_cohomology_h1,
                              reconstruct_generators)
@@ -131,8 +131,9 @@ def cmd_hilbert(args):
     ideal = _load_ideal(args.ideal, fan)
     ranges = _parse_ranges(args.degrees, grading.rank, "--degrees")
     diag = compute_diagram(fan, ideal)
-    values = [{"degree": list(d), "value": hilbert_value(grading, diag, d)}
-              for d in _degrees_from_ranges(ranges)]
+    degrees = _degrees_from_ranges(ranges)
+    values = [{"degree": list(d), "value": value}
+              for d, value in zip(degrees, hilbert_values(grading, diag, degrees))]
     constant, note = constant_hilbert_poly(fan, diag)
     payload = {"values": values, "constant_poly": constant, "note": note}
     _emit(payload, args.out)

@@ -11,16 +11,23 @@ of a maximal cone through it as the pairings off the face grow.  The JSON
 form is that stored data, so a file grows with the maximal cones only.
 
 ``compute_diagram`` is the one builder of diagrams from generators, and
-``shift_diagram`` translates one.  The diagram of a sum is built from the
-two saturations by ``reconstruction.sum_diagram``.
+``shift_diagram`` translates one.  The minimal generators of the
+saturation are read back by ``minimal_generator_exponents``: one bitset
+over the breakpoint grid of the exponent box [s, K], the values where some
+gap cell starts or ends, painted with ``regions.box_mask``.  A diagram
+keeps that scan (``saturation_exponents``), so the Hilbert values, the
+reconstruction, the diagram of a sum (``reconstruction.sum_diagram``) and
+the CLI's check of a diagram file share one scan.
 """
 
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from functools import cached_property
 from types import MappingProxyType
 
 from .errors import InputError, json_int
 from .monomials import minimalize
-from .regions import Cell, LatticeRegion
+from .regions import Cell, LatticeRegion, box_mask, grid_strides, mask_indices
 
 ConeEntry = namedtuple("ConeEntry", ["support", "gaps"])
 
@@ -40,6 +47,20 @@ class KlyachkoDiagram:
             raise InputError(f"diagram has no gaps over the maximal cone "
                              f"{exc.args[0]}") from exc
         self._supports = {}
+
+    @cached_property
+    def saturation_exponents(self):
+        """The minimal generators of the saturation, scanned once per diagram.
+
+        Read off ``minimal_generator_exponents``; a diagram whose gaps cover
+        every monomial above its floor is refused, since the saturation of
+        a nonzero ideal has a generator inside the box [s, K].
+        """
+        _, found = minimal_generator_exponents(self.fan, self)
+        if not found:
+            raise InputError("the diagram's gaps cover every monomial above its "
+                             "floor; it is not the diagram of a nonzero ideal")
+        return tuple(found)
 
     def support(self, cone):
         """The orthant of the exponent floor over the cone."""
@@ -127,6 +148,91 @@ class KlyachkoDiagram:
                 raise InputError(f"malformed diagram data: gaps {key!r} is not a list")
             gaps[names[key]] = LatticeRegion(names[key], map(Cell.from_json, cells))
         return cls(fan, s, gaps)
+
+
+def exponent_caps(fan, diag):
+    """Per-variable bound K on minimal generator exponents of the saturation.
+
+    K_rho is the exponent floor unless some gap cell bounds the ray from
+    above, in which case one past the largest such bound.  Any monomial with
+    an exponent beyond K stays in the ideal after division by that variable:
+    a gap cell capturing the divided exponent vector has no upper bound on
+    the ray, so it would capture the original vector too.  Hence minimal
+    generators live inside the box [s, K].
+    """
+    caps = list(diag.min_exponents)
+    for cone in fan.max_cones:
+        for cell in diag.gaps(cone).cells:
+            for ray, (_, hi) in cell.bounds:
+                if hi is not None:
+                    caps[ray] = max(caps[ray], hi + 1)
+    return tuple(caps)
+
+
+def _breakpoints(fan, diag, caps):
+    """Per ray, the sorted values in [s, K] at which membership can change.
+
+    These are s_rho and every gap-cell bound lo or hi + 1 on the ray that
+    falls in (s_rho, K_rho]; between two consecutive breakpoints no cell
+    starts or ends, so membership is constant there.
+    """
+    s = diag.min_exponents
+    points = [{s[r]} for r in range(fan.nrays)]
+    for cone in fan.max_cones:
+        for cell in diag.gaps(cone).cells:
+            for ray, (lo, hi) in cell.bounds:
+                for v in (lo, None if hi is None else hi + 1):
+                    if v is not None and s[ray] < v <= caps[ray]:
+                        points[ray].add(v)
+    return [sorted(p) for p in points]
+
+
+def minimal_generator_exponents(fan, diag):
+    """Exponent vectors of the saturation's minimal generators.
+
+    Reads them off one bitset over the breakpoint grid of the box [s, K],
+    one bit per grid point in ``itertools.product`` order (last ray
+    fastest).  Every gap cell of every maximal cone is painted in as a box
+    of breakpoint-index ranges; the rest are the members.  A member is
+    minimal when none of its lower neighbours, one breakpoint down on a
+    single ray, is a member: one shift per ray finds them all, so the scan
+    costs O(cells x grid / 64) word operations.  Exact because exponents
+    >= s make support membership automatic, so membership is avoidance of
+    every maximal cone's gaps.  A minimal generator sits on breakpoints
+    (otherwise one step down keeps membership), and one step down from a
+    breakpoint lands in the range of the previous one, so the result equals
+    a scan of every point of the box.
+    """
+    caps = exponent_caps(fan, diag)
+    grid = _breakpoints(fan, diag, caps)
+    sizes = [len(points) for points in grid]
+    strides = grid_strides(sizes)
+    full = (1 << (strides[0] * sizes[0])) - 1
+
+    gaps = 0
+    for cone in fan.max_cones:
+        for cell in diag.gaps(cone).cells:
+            ranges = [(0, size) for size in sizes]
+            for ray, (lo, hi) in cell.bounds:
+                points = grid[ray]
+                ranges[ray] = (0 if lo is None else bisect_left(points, lo),
+                               sizes[ray] if hi is None else bisect_right(points, hi))
+            if all(a < b for a, b in ranges):
+                gaps |= box_mask(ranges, strides)
+    members = full & ~gaps
+
+    lower = 0
+    for r in range(fan.nrays):
+        # a shift by stride r steps every point one breakpoint up ray r; the band
+        # (index >= 1 on ray r) drops the steps that wrapped into the next row
+        band = box_mask([(1, size) if q == r else (0, size)
+                         for q, size in enumerate(sizes)], strides)
+        lower |= (members << strides[r]) & band
+    minimal = members & ~lower
+
+    found = [tuple(points[k] for points, k in zip(grid, index))
+             for index in mask_indices(minimal, strides)]
+    return caps, found
 
 
 def support_region(fan, min_exponents, cone):

@@ -1,23 +1,49 @@
-"""Multigraded Hilbert functions evaluated from Klyachko diagrams.
+"""Multigraded Hilbert functions of R/I^sat, from the K-polynomial of I^sat.
 
-A monomial of class u is a character m of the section polytope of a lift D
-of u, with exponents <m, rho> + D_rho.  It lies in the B-saturation I^sat
-exactly when its exponents clear the floor s of the diagram and miss the
-gap cells of every maximal cone.  Along a fiber of the polytope (the first
-dim - 1 coordinates of m fixed) every exponent is affine in the last
-coordinate t, so the floor, each gap cell and each generator of an ideal
-cut out one interval of t.  ``walk_fibers`` yields, per fiber, the members
-of I^sat as the floor interval minus the union of the gap intervals, and
-the members of the ideal as the union of the generator intervals.
-``hilbert_value`` sums their lengths; the graded pieces and H^1 of
-``reconstruction`` expand them.  No route lists the polytope's points.
+The Cox ring R of a complete toric variety is positively graded, so a
+monomial ideal J has a Hilbert series K(R/J) / prod_rho (1 - t^deg x_rho)
+with a polynomial numerator K(R/J) = sum_a c_a t^a, and
+
+    h_{R/J}(u) = sum_a c_a dim R_{u - deg a}
+
+holds exactly at every class u.  ``hilbert_values`` takes J = I^sat from
+the diagram's breakpoint scan, its numerator from Bigatti's pivot
+recursion (``k_polynomial``) and dim R_v from the Euler characteristic:
+for a nef class v, dim R_v = chi(O(v)) by Demazure vanishing, and chi is
+one polynomial of degree at most dim in v (Riemann-Roch), interpolated
+exactly once per fan (``euler_characteristic``).  Off the nef cone, or on
+a fan whose small nef classes do not determine chi, ``ring_dimension``
+counts the section polytope fiber by fiber.  So the work scales with the
+numerator, not with the degree.
+
+Listings need the monomials themselves.  A monomial of class u is a
+character m of the section polytope of a lift D of u, with exponents
+<m, rho> + D_rho.  It lies in I^sat exactly when its exponents clear the
+floor s of the diagram and miss the gap cells of every maximal cone.
+Along a fiber of the polytope (the first dim - 1 coordinates of m fixed)
+every exponent is affine in the last coordinate t, so the floor, each gap
+cell and each generator of an ideal cut out one interval of t.
+``walk_fibers`` yields, per fiber, the members of I^sat as the floor
+interval minus the union of the gap intervals, and the members of the
+ideal as the union of the generator intervals; the graded pieces and H^1
+of ``reconstruction`` expand them.  No route lists the polytope's points.
 """
 
-from operator import mul
+from itertools import chain, count, islice, product
+from math import gcd, lcm, prod
+from operator import add, mul, sub
 
 from .diagram import compute_diagram
 from .errors import InfiniteRegionError, InputError, json_int
+from .linalg import unimodular_inverse
+from .monomials import minimalize
 from .regions import count_region_points, section_fibers
+
+# fibers times dim that the section polytopes of chi's samples may have in
+# all: each fiber of a walk passes through dim levels of the elimination
+_SAMPLE_WORK = 1 << 17
+# classes examined for a unisolvent set of nef samples
+_SAMPLE_CANDIDATES = 1 << 13
 
 
 def ring_dimension(grading, degree):
@@ -110,14 +136,224 @@ def walk_fibers(fan, diag, divisor, gens=()):
         yield prefix, lo, hi, sat, ideal
 
 
-def hilbert_value(grading, diag, degree):
-    """h_{R/I}(degree) for the B-saturated ideal I behind the diagram.
+def k_polynomial(gens):
+    """The numerator K(R/J) of J = (gens), as {a: c_a} without zero terms.
 
-    Counted fiber by fiber: the fiber's length minus its members of I^sat.
+    Finely graded: a is an exponent vector, and the class numerator sums
+    c_a over the a of one class.  ``gens`` is nonempty (the zero ideal has
+    numerator 1).  Bigatti's pivot recursion on p = x_i^e:
+
+        K(R/J) = K(R/(J + p)) + x^p K(R/(J : p)),
+
+    with x_i the variable in the most generators that are not pure powers,
+    and e the median of its exponents there.  J + p then has fewer such
+    generators, and J : p a smaller total degree, so the recursion ends at
+    pairwise coprime generators, where K is the product of the (1 - x^g).
+    A pure power never gives the pivot: if x_i^e were a generator, J + p
+    would be J.  Ideals met twice are looked up in a memo kept for this
+    call only.
     """
-    lift = grading.canonical_lift(degree)
-    return sum(hi - lo + 1 - sum(b - a + 1 for a, b in sat)
-               for _, lo, hi, sat, _ in walk_fibers(grading.fan, diag, lift))
+    memo = {}
+
+    def shifted(poly, by, sign):
+        return {tuple(map(add, a, by)): sign * c for a, c in poly.items()}
+
+    def merge(poly, more):
+        for a, c in more.items():
+            poly[a] = poly.get(a, 0) + c
+        return {a: c for a, c in poly.items() if c}
+
+    def numerator(gens):
+        poly = memo.get(gens)
+        if poly is not None:
+            return poly
+        n = len(gens[0])
+        occurs, mixed = [0] * n, [0] * n
+        for g in gens:
+            support = [i for i, x in enumerate(g) if x]
+            for i in support:
+                occurs[i] += 1
+                mixed[i] += len(support) > 1
+        if max(occurs) <= 1:
+            poly = {(0,) * n: 1}
+            for g in gens:
+                poly = merge(dict(poly), shifted(poly, g, -1))
+        else:
+            i = mixed.index(max(mixed))
+            exps = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
+            e = exps[len(exps) // 2]
+            pivot = (0,) * i + (e,) + (0,) * (n - i - 1)
+            # no generator divides the pivot, so the sum is already minimal
+            plus = tuple(sorted([g for g in gens if g[i] < e] + [pivot]))
+            colon = minimalize(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens)
+            poly = merge(dict(numerator(plus)), shifted(numerator(colon), pivot, 1))
+        memo[gens] = poly
+        return poly
+
+    return numerator(minimalize(gens))
+
+
+class EulerCharacteristic:
+    """chi(O(v)) of a fan's classes v, and its nef test.
+
+    A class is nef when, for every maximal cone sigma, its lift that
+    vanishes on the rays of sigma is effective: that lift has entries
+    <m_sigma, rho> + D_rho on the rays rho off sigma, and those rays'
+    classes are a basis of the class group, so the entries are linear
+    forms in v, the rows of one inverse per cone.  chi is the polynomial
+    of degree at most dim through the values of ``ring_dimension`` at
+    C(dim + rank, rank) small nef classes, picked in order of their l1
+    norm by an exact rank test and solved by fraction-free elimination.
+    ``terms`` is None when no such set is found within the sample budgets;
+    ``dimension`` then counts every class with ``ring_dimension``.
+    """
+
+    def __init__(self, grading):
+        fan, rank = grading.fan, grading.rank
+        self.grading, self.nef_rows, self.terms, self.denominator = grading, [], None, 1
+        columns = grading.variable_degrees()
+        rows = set()
+        for sigma in fan.max_cones:
+            outside = [r for r in range(fan.nrays) if r not in sigma]
+            inverse = unimodular_inverse([[columns[r][k] for r in outside]
+                                          for k in range(rank)])
+            if inverse is None:
+                # not a smooth complete fan: no nef test to trust
+                return
+            rows.update(map(tuple, inverse))
+        self.nef_rows = sorted(rows)
+        powers = [a for a in product(range(fan.dim + 1), repeat=rank)
+                  if sum(a) <= fan.dim]
+        samples = _unisolvent(self.is_nef, powers)
+        if samples is None:
+            return
+        samples.reverse()   # the largest first: a fan over budget stops early
+        budget, values = _SAMPLE_WORK // fan.dim, []
+        for v in samples:
+            fibers = list(islice(section_fibers(fan, grading.canonical_lift(v)),
+                                 budget + 1))
+            budget -= len(fibers)
+            if budget < 0:
+                return
+            values.append(sum(hi - lo + 1 for _, lo, hi in fibers))
+        coefficients, self.denominator = _solve(
+            [_monomials(v, powers) for v in samples], values)
+        self.terms = [(a, c) for a, c in zip(powers, coefficients) if c]
+
+    def is_nef(self, v):
+        return all(sum(map(mul, row, v)) >= 0 for row in self.nef_rows)
+
+    def __call__(self, v):
+        """chi at any class v; it equals dim R_v where v is nef."""
+        return sum(c * prod(map(pow, v, a)) for a, c in self.terms) // self.denominator
+
+    def dimension(self, v):
+        """dim R_v: chi(v) on a nef class, ``ring_dimension`` elsewhere."""
+        if self.terms is not None and self.is_nef(v):
+            return self(v)
+        return ring_dimension(self.grading, v)
+
+
+def _monomials(v, powers):
+    return [prod(map(pow, v, a)) for a in powers]
+
+
+def _l1_shell(rank, radius):
+    """The int vectors of the given l1 norm, in lexicographic order."""
+    if rank == 1:
+        yield from sorted({(-radius,), (radius,)})
+        return
+    for first in range(-radius, radius + 1):
+        for rest in _l1_shell(rank - 1, radius - abs(first)):
+            yield (first,) + rest
+
+
+def _unisolvent(is_nef, powers):
+    """len(powers) nef classes on which the monomials are independent, or None.
+
+    Classes come in order of l1 norm; each is kept when its monomial row is
+    independent of the rows kept so far, by integer row reduction against
+    their echelon form.
+    """
+    rank = len(powers[0])
+    classes = chain.from_iterable(_l1_shell(rank, radius) for radius in count())
+    echelon, chosen = [], []
+    for v in filter(is_nef, islice(classes, _SAMPLE_CANDIDATES)):
+        row = _monomials(v, powers)
+        for col, base in echelon:
+            if row[col]:
+                row = [base[col] * x - row[col] * y for x, y in zip(row, base)]
+        col = next((k for k, x in enumerate(row) if x), None)
+        if col is not None:
+            echelon.append((col, row))
+            chosen.append(v)
+            if len(chosen) == len(powers):
+                return chosen
+    return None
+
+
+def _solve(matrix, rhs):
+    """The solution of a nonsingular integer system as (numerators, denominator).
+
+    Gauss-Jordan elimination with integer row operations, each row kept
+    primitive; at the end row k reads d_k x_k = b_k.
+    """
+    n = len(matrix)
+    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        base = rows[col]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                row = [base[col] * x - rows[r][col] * y for x, y in zip(rows[r], base)]
+                g = gcd(*row)
+                rows[r] = [x // g for x in row]
+    denominator = lcm(*(abs(rows[k][k]) for k in range(n)))
+    return [rows[k][n] * (denominator // rows[k][k]) for k in range(n)], denominator
+
+
+_CHARACTERISTICS = {}
+
+
+def euler_characteristic(grading):
+    """The fan's ``EulerCharacteristic``, built once per fan and grading."""
+    key = (grading.fan, grading.deg_matrix)
+    chi = _CHARACTERISTICS.get(key)
+    if chi is None:
+        chi = _CHARACTERISTICS[key] = EulerCharacteristic(grading)
+    return chi
+
+
+def hilbert_values(grading, diag, degrees):
+    """h_{R/I}(u) for each class u, for the B-saturated ideal I behind the diagram.
+
+    The sum of c_a dim R_{u - deg a} over the terms of K(R/I), with dim R_v
+    from chi on nef classes and ``ring_dimension`` elsewhere.
+    """
+    numerator = {}
+    for a, c in k_polynomial(diag.saturation_exponents).items():
+        u = grading.degree(a)
+        numerator[u] = numerator.get(u, 0) + c
+    numerator = {u: c for u, c in numerator.items() if c}
+    chi = euler_characteristic(grading)
+    dimensions = {}   # classes u - deg a repeat from one u to the next
+    values = []
+    for u in degrees:
+        grading.canonical_lift(u)   # checks the length and every entry
+        total = 0
+        for a, c in numerator.items():
+            v = tuple(map(sub, u, a))
+            if v not in dimensions:
+                dimensions[v] = chi.dimension(v)
+            total += c * dimensions[v]
+        values.append(total)
+    return values
+
+
+def hilbert_value(grading, diag, degree):
+    """h_{R/I}(degree) for the B-saturated ideal I behind the diagram."""
+    return hilbert_values(grading, diag, [degree])[0]
 
 
 def hilbert_value_general(grading, ideal, degree):

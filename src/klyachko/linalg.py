@@ -3,7 +3,9 @@
 A smooth fan needs one inverse: that of a unimodular ray matrix.  The rays
 of a maximal cone form a basis of N, and its inverse turns pairings back
 into characters; the rays outside a class-group basis form one too, and
-its inverse grades the Cox ring (``toric.compute_grading``).  Everything
+its inverse grades the Cox ring (``toric.compute_grading``); and the
+classes of the rays off a maximal cone form a basis of the class group,
+whose inverse gives the nef test of ``hilbert.EulerCharacteristic``.  Everything
 works on plain Python ints, with matrices as sequences of rows.
 """
 

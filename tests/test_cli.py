@@ -75,6 +75,18 @@ def test_hilbert_builds_the_diagram_once(capsys, monkeypatch, files):
     assert len(calls) == 1
 
 
+def test_hilbert_scans_the_saturation_once(capsys, monkeypatch, files):
+    import klyachko.diagram as diagram
+    scans = []
+    scan = diagram.minimal_generator_exponents
+    monkeypatch.setattr(diagram, "minimal_generator_exponents",
+                        lambda *args: scans.append(1) or scan(*args))
+    path = files("ex.json", {"gens": EX_GENS})
+    payload = run_json(capsys, ["hilbert", "P2", path, "--degrees", "0..50"])
+    assert len(payload["values"]) == 51
+    assert len(scans) == 1
+
+
 def test_h1_command(capsys, files):
     path = files("h1.json", {"gens": H1_GENS})
     payload = run_json(capsys, ["h1", "P2", path, "--degrees", "0..6"])
@@ -91,10 +103,10 @@ def test_saturate_from_ideal(capsys, files):
 
 
 def test_saturate_from_diagram_json(capsys, files, h3, monkeypatch):
-    import klyachko.reconstruction as reconstruction
+    import klyachko.diagram as diagram
     scans = []
-    scan = reconstruction.minimal_generator_exponents
-    monkeypatch.setattr(reconstruction, "minimal_generator_exponents",
+    scan = diagram.minimal_generator_exponents
+    monkeypatch.setattr(diagram, "minimal_generator_exponents",
                         lambda *args: scans.append(1) or scan(*args))
     diag = compute_diagram(h3, MonomialIdeal(H3_GENS))
     path = files("diag.json", diag.to_json())
@@ -497,6 +509,17 @@ def test_cli_import_does_not_load_numpy():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     code = "import klyachko.cli, sys; assert 'numpy' not in sys.modules"
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_cli_import_does_not_load_fractions():
+    # chi is interpolated by fraction-free integer elimination, so a cold
+    # start pays for no rational arithmetic
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import klyachko.cli, sys; assert 'fractions' not in sys.modules"
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

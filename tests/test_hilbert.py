@@ -1,13 +1,25 @@
+import itertools
+import json
+import os
+import random
+import subprocess
+import sys
+from math import comb
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import klyachko.hilbert as hilbert
 from klyachko import (InputError, MonomialIdeal, compute_diagram, compute_grading,
-                      constant_hilbert_poly, graded_basis, hilbert_oracle,
-                      hilbert_value, hilbert_value_general, hirzebruch,
-                      local_cohomology_h1, monomials_of_degree,
+                      constant_hilbert_poly, euler_characteristic, graded_basis,
+                      hilbert_oracle, hilbert_value, hilbert_value_general,
+                      hilbert_values, hirzebruch, k_polynomial,
+                      local_cohomology_h1, monomials_of_degree, named_fan,
                       product_of_projective_spaces, projective_space,
                       ring_dimension, saturate_oracle)
-from klyachko.monomials import degree_window
+from klyachko.hilbert import EulerCharacteristic, walk_fibers
+from klyachko.monomials import degree_window, lcm_exponents
 
 P2_GENS = [(0, 0, 2), (1, 0, 1), (1, 1, 0)]
 P3_GENS = [(1, 1, 0, 0), (0, 1, 1, 2), (0, 0, 2, 0)]
@@ -105,9 +117,42 @@ def test_large_degrees_are_counted(p2, p2_grading, p3, p3_grading):
     # far beyond what listing the section polytope's points could reach
     plane = compute_diagram(p2, MonomialIdeal(P2_GENS))
     assert hilbert_value(p2_grading, plane, (5000,)) == 3
+    assert hilbert_value(p2_grading, plane, (10 ** 9,)) == 3
     space = compute_diagram(p3, MonomialIdeal(P3_GENS))
     assert hilbert_value(p3_grading, space, (120,)) == 3 * 121
+    assert hilbert_value(p3_grading, space, (10 ** 9,)) == 3 * (10 ** 9 + 1)
     assert ring_dimension(p2_grading, (1000,)) == 1001 * 1002 // 2
+
+
+@pytest.mark.parametrize("name, gens, value", [
+    # R/(y0) on H3: (a + 1) + 3b monomials x0^i x1^j y1^b in class (a, b)
+    ("H3", [(0, 0, 1, 0)], 10 ** 6 + 1 + 3 * 10 ** 6),
+    # R/(x0) on P1xP2: the monomials of P2 of degree b
+    ("P1xP2", [(1, 0, 0, 0, 0)], comb(10 ** 6 + 2, 2)),
+    # R/(x0*y0) on P2xP2: dim R_(a,b) - dim R_(a-1,b-1)
+    ("P2xP2", [(1, 0, 0, 1, 0, 0)],
+     comb(10 ** 6 + 2, 2) ** 2 - comb(10 ** 6 + 1, 2) ** 2),
+], ids=["H3", "P1xP2", "P2xP2"])
+def test_large_classes_are_counted_on_the_nef_cone(name, gens, value):
+    # a fiber walk would list about 10^12 monomials; chi answers in closed form
+    fan = named_fan(name)
+    grading = compute_grading(fan)
+    diag = compute_diagram(fan, MonomialIdeal(gens))
+    assert hilbert_value(grading, diag, (10 ** 6, 10 ** 6)) == value
+
+
+def test_hilbert_command_reaches_degree_400_promptly(tmp_path):
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({"gens": [[2, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 3]]}))
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-m", "klyachko.cli", "hilbert", "P3",
+                             str(path), "--degrees", "0..400"],
+                            env=env, capture_output=True, text=True, timeout=10)
+    assert result.returncode == 0, result.stderr
+    values = json.loads(result.stdout)["values"]
+    assert len(values) == 401
+    assert values[-1] == {"degree": [400], "value": 807}
 
 
 def test_h1_large_degrees(p2_grading, p3_grading):
@@ -165,3 +210,145 @@ def test_h1_matches_oracle(case):
             sorted(e for e in in_sat if e not in ideal), degree
         assert sorted(graded_basis(grading, diag, lift).monomials()) == \
             sorted(in_sat), degree
+
+
+def walk_count(grading, diag, degree):
+    """h_{R/I^sat} by the fiber walk: each fiber's length minus its members of I^sat."""
+    lift = grading.canonical_lift(degree)
+    return sum(hi - lo + 1 - sum(b - a + 1 for a, b in sat)
+               for _, lo, hi, sat, _ in walk_fibers(grading.fan, diag, lift))
+
+
+CATALOG = ["P2", "P3", "P4", "H3", "P1xP1", "P1xP2", "P2xP2"]
+
+
+def class_box(grading):
+    """Classes around the origin, with non-effective and effective non-nef ones."""
+    lo, hi = (-3, 6) if grading.rank == 2 else (-3, 12)
+    return list(itertools.product(range(lo, hi + 1), repeat=grading.rank))
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_numerator_route_matches_the_fiber_walk(name):
+    fan = named_fan(name)
+    grading = compute_grading(fan)
+    rng = random.Random(name)
+    top = 2 if fan.nrays > 4 else 3
+    degrees = class_box(grading)
+    for _ in range(3):
+        gens = [tuple(rng.randint(0, top) for _ in range(fan.nrays))
+                for _ in range(rng.randint(1, 4))]
+        diag = compute_diagram(fan, MonomialIdeal(gens))
+        walked = [walk_count(grading, diag, u) for u in degrees]
+        assert hilbert_values(grading, diag, degrees) == walked, gens
+
+
+def test_effective_classes_off_the_nef_cone_are_walked(h3_grading):
+    chi = euler_characteristic(h3_grading)
+    effective = [u for u in class_box(h3_grading) if ring_dimension(h3_grading, u)]
+    off_nef = [u for u in effective if not chi.is_nef(u)]
+    # the box holds classes like the negative section y1, of class (-3, 1)
+    assert (-3, 1) in off_nef and len(off_nef) >= 10
+    assert all(chi(u) != ring_dimension(h3_grading, u) for u in [(-3, 1), (-2, 3)])
+    for u in off_nef:
+        assert chi.dimension(u) == ring_dimension(h3_grading, u)
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_euler_characteristic_interpolates_the_nef_classes(name):
+    grading = compute_grading(named_fan(name))
+    chi = euler_characteristic(grading)
+    assert chi.terms is not None
+    assert euler_characteristic(grading) is chi
+    nef = [u for u in class_box(grading) if chi.is_nef(u)]
+    assert nef and all(chi(u) == ring_dimension(grading, u) for u in nef)
+
+
+def test_euler_characteristic_falls_back_without_samples(monkeypatch, p2_grading):
+    monkeypatch.setattr(hilbert, "_SAMPLE_WORK", 0)
+    chi = EulerCharacteristic(p2_grading)
+    assert chi.terms is None
+    monkeypatch.setitem(hilbert._CHARACTERISTICS,
+                        (p2_grading.fan, p2_grading.deg_matrix), chi)
+    diag = compute_diagram(p2_grading.fan, MonomialIdeal(P2_GENS))
+    assert hilbert_values(p2_grading, diag, [(a,) for a in range(-1, 6)]) == \
+        [0, 1, 3, 3, 3, 3, 3]
+
+
+def taylor_numerator(gens):
+    """K(R/J) by inclusion-exclusion over subsets of the generators."""
+    poly = {}
+    for k in range(len(gens) + 1):
+        for subset in itertools.combinations(gens, k):
+            a = tuple([0] * len(gens[0]))
+            for g in subset:
+                a = lcm_exponents(a, g)
+            poly[a] = poly.get(a, 0) + (-1) ** k
+    return {a: c for a, c in poly.items() if c}
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=6)))
+def test_k_polynomial_matches_inclusion_exclusion(gens):
+    minimal = list(MonomialIdeal(gens).gens)
+    assert k_polynomial(gens) == taylor_numerator(minimal)
+
+
+def test_k_polynomial_examples():
+    # (x, y): 1 - x - y + xy; the pure power x^2 is never a pivot
+    assert k_polynomial([(1, 0), (0, 1)]) == {(0, 0): 1, (1, 0): -1, (0, 1): -1,
+                                              (1, 1): 1}
+    assert k_polynomial([(2, 0), (1, 1)]) == {(0, 0): 1, (2, 0): -1, (1, 1): -1,
+                                              (2, 1): 1}
+    assert k_polynomial([(0, 0, 0)]) == {}
+
+
+def finite_colength_ideal(rng, fan):
+    """Random generators plus, per maximal cone, a pure power of each of its
+    variables times variables off the cone: a zero-dimensional subscheme."""
+    gens = [tuple(rng.randint(0, 2) for _ in range(fan.nrays))
+            for _ in range(rng.randint(0, 2))]
+    for cone in fan.max_cones:
+        for ray in cone:
+            gens.append(tuple(rng.randint(1, 3) if r == ray else
+                              0 if r in cone else rng.randint(0, 1)
+                              for r in range(fan.nrays)))
+    return MonomialIdeal(gens)
+
+
+def hilbert_polynomial(grading, diag):
+    """P(u) = sum of c_a chi(u - deg a) over the numerator of the saturation."""
+    numerator = k_polynomial(diag.saturation_exponents)
+    chi = euler_characteristic(grading)
+    return lambda u: sum(c * chi(tuple(x - y for x, y in zip(u, grading.degree(a))))
+                         for a, c in numerator.items())
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_constant_hilbert_poly_matches_the_hilbert_polynomial(name):
+    fan = named_fan(name)
+    grading = compute_grading(fan)
+    # a polynomial of degree <= dim is constant iff it is constant on the
+    # simplex {k >= 0, |k| <= dim}, which is unisolvent for that degree
+    simplex = [k for k in itertools.product(range(fan.dim + 1), repeat=grading.rank)
+               if sum(k) <= fan.dim]
+    rng = random.Random(f"constant-{name}")
+    verdicts = set()
+    for case in range(30):
+        if case % 3:
+            top = 2 if fan.nrays > 4 else 3
+            ideal = MonomialIdeal([tuple(rng.randint(0, top) for _ in range(fan.nrays))
+                                   for _ in range(rng.randint(1, 4))])
+        else:
+            ideal = finite_colength_ideal(rng, fan)
+        diag = compute_diagram(fan, ideal)
+        poly = hilbert_polynomial(grading, diag)
+        values = {poly(k) for k in simplex}
+        constant, note = constant_hilbert_poly(fan, diag)
+        if len(values) == 1:
+            assert (constant, note) == (values.pop(), None), ideal
+        else:
+            assert constant is None and note, ideal
+        verdicts.add(constant is not None)
+    assert verdicts == {True, False}

@@ -10,7 +10,7 @@ from klyachko import (Cell, InputError, KlyachkoDiagram, LatticeRegion,
                       local_cohomology_h1, minimal_generator_exponents,
                       monomials_of_degree, product_of_projective_spaces,
                       projective_space, reconstruct_generators, saturate_oracle)
-from klyachko.reconstruction import exponent_caps
+from klyachko.diagram import exponent_caps
 
 # already-saturated running example on the plane: (x0*x2, x1*x2, x0*x1^2)
 P2_SAT = [(1, 0, 1), (0, 1, 1), (1, 2, 0)]
