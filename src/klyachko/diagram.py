@@ -19,8 +19,8 @@ keeps that scan (``saturation_exponents``), so the Hilbert values, the
 reconstruction, the diagram of a sum (``reconstruction.sum_diagram``) and
 the CLI's check of a diagram file share one scan.  It also keeps the
 numerator of the saturation's Hilbert series per grading
-(``class_numerator``), so each Hilbert value costs a few evaluations of
-the Euler characteristic.
+(``class_numerator``), so a Hilbert value at one class does not rerun the
+recursion behind it.
 """
 
 from bisect import bisect_left, bisect_right

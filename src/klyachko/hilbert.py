@@ -12,10 +12,12 @@ breakpoint scan for the generators, then Bigatti's pivot recursion,
 ``monomials.k_polynomial``) and dim R_v from the Euler characteristic:
 for a nef class v, dim R_v = chi(O(v)) by Demazure vanishing, and chi is
 one polynomial of degree at most dim in v (Riemann-Roch), interpolated
-exactly once per fan (``euler_characteristic``).  Off the nef cone, or on
-a fan whose small nef classes do not determine chi, ``ring_dimension``
-counts the section polytope fiber by fiber.  So the work scales with the
-numerator, not with the degree.
+exactly once per fan (``euler_characteristic``).  A nef row that is
+nonnegative on every variable's class is nonnegative on every class of a
+monomial, so where it is negative dim R_v = 0.  At the other classes off
+the nef cone, or on a fan whose small nef classes do not determine chi,
+``ring_dimension`` counts the section polytope fiber by fiber.  So the
+work scales with the numerator, not with the degree.
 
 Listings need the monomials themselves.  A monomial of class u is a
 character m of the section polytope of a lift D of u, with exponents
@@ -274,7 +276,7 @@ def hilbert_values(grading, diag, degrees):
     """
     numerator = diag.class_numerator(grading)
     chi = euler_characteristic(grading)
-    dimensions = {}   # classes u - deg a repeat from one u to the next
+    dimensions = {}   # classes u - w repeat from one u to the next
     values = []
     for u in degrees:
         grading.canonical_lift(u)   # checks the length and every entry
