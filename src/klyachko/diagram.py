@@ -11,16 +11,21 @@ of a maximal cone through it as the pairings off the face grow.  The JSON
 form is that stored data, so a file grows with the maximal cones only.
 
 ``compute_diagram`` is the one builder of diagrams from generators, and
-``shift_diagram`` translates one.  The minimal generators of the
-saturation are read back by ``minimal_generator_exponents``: one bitset
-over the breakpoint grid of the exponent box [s, K], the values where some
-gap cell starts or ends, painted with ``regions.box_mask``.  A diagram
-keeps that scan (``saturation_exponents``), so the Hilbert values, the
-reconstruction, the diagram of a sum (``reconstruction.sum_diagram``) and
-the CLI's check of a diagram file share one scan.  It also keeps the
-numerator of the saturation's Hilbert series per grading
-(``class_numerator``), so a Hilbert value at one class does not rerun the
-recursion behind it.
+``shift_diagram`` translates one.  The builder minimalizes the
+localization once per maximal cone, buckets its generators by their
+exponent on the cone's last ray, and sweeps those bands upward: the
+minimal generators of a slab only grow as the band rises, so each band
+updates them instead of minimalizing afresh.  Inside the recursion cells
+are bare bound tuples; they are wrapped and sorted once per maximal cone.
+The minimal generators of the saturation are read back by
+``minimal_generator_exponents``: one bitset over the breakpoint grid of
+the exponent box [s, K], the values where some gap cell starts or ends,
+painted with ``regions.box_mask``.  A diagram keeps that scan
+(``saturation_exponents``), so the Hilbert values, the reconstruction, the
+diagram of a sum (``reconstruction.sum_diagram``) and the CLI's check of a
+diagram file share one scan.  It also keeps the numerator of the
+saturation's Hilbert series per grading (``class_numerator``), so a
+Hilbert value at one class does not rerun the recursion behind it.
 """
 
 from bisect import bisect_left, bisect_right
@@ -29,7 +34,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from .errors import InputError, json_int
-from .monomials import k_polynomial, minimalize
+from .monomials import divides, k_polynomial, minimalize
 from .regions import Cell, LatticeRegion, box_mask, grid_strides, mask_indices
 
 ConeEntry = namedtuple("ConeEntry", ["support", "gaps"])
@@ -268,11 +273,17 @@ def compute_diagram(fan, ideal):
 
     Works one maximal cone at a time on the minimal generators of the
     localization there (``minimalize`` of the restrictions to the cone's
-    rays), slicing along the cone's last ray at their distinct levels: the
-    slice of a band is the diagram, over the facet, of the minimal
-    restrictions of the generators at or below the band.  An ideal and its
-    saturation have the same localization at every maximal cone, so they
-    get the same cells.
+    rays, the one call per maximal cone), slicing along the cone's last ray
+    at their distinct levels: the slice of a band is the diagram, over the
+    facet, of the minimal projections of the generators at or below the
+    band.  The generators are bucketed by level once, and the bands are
+    swept upward: each level drops its new projections that a kept one
+    divides, then the kept ones that a new projection divides, so the
+    minimal set grows without being rebuilt.  The recursion returns cells
+    as unsorted bound tuples; ``Cell``s are made and sorted by
+    ``Cell.sort_key`` once per maximal cone, which gives the order a sort
+    at every level would.  An ideal and its saturation have the same
+    localization at every maximal cone, so they get the same cells.
 
     Only the maximal cones are sliced; the diagram derives the faces.
     """
@@ -284,27 +295,32 @@ def compute_diagram(fan, ideal):
     memo = {}
 
     def delta(cone, gens):
+        """The gap cells' bound tuples over the cone, unsorted; gens are minimal."""
         key = (cone, gens)
         if key in memo:
             return memo[key]
         if not cone:
-            result = (LatticeRegion.full(()) if not gens
-                      else LatticeRegion.empty(()))
+            result = [] if gens else [()]
         else:
             last = cone[-1]
-            lows = sorted({s[last], *(g[-1] for g in gens)})
-            cells = []
+            levels = {s[last]: []}
+            for g in gens:
+                levels.setdefault(g[-1], []).append(g[:-1])
+            lows = sorted(levels)
+            kept, result = [], []
             for j, lo in enumerate(lows):
+                # gens are an antichain, so the projections of one level are too
+                new = [p for p in levels[lo] if not any(divides(k, p) for k in kept)]
+                kept = [k for k in kept if not any(divides(p, k) for p in new)] + new
                 band = (last, (lo, lows[j + 1] - 1 if j + 1 < len(lows) else None))
-                inner = delta(cone[:-1], minimalize(g[:-1] for g in gens if g[-1] <= lo))
-                cells.extend(Cell._of(c.bounds + (band,)) for c in inner.cells)
-            # inner cells leave the last ray free, and the bands are disjoint on it
-            result = LatticeRegion._of(cone, cells)
+                # inner cells leave the last ray free, and the bands are disjoint on it
+                result.extend(c + (band,) for c in delta(cone[:-1], tuple(sorted(kept))))
         memo[key] = result
         return result
 
     return KlyachkoDiagram(fan, s, {
-        cone: delta(cone, minimalize(tuple(g[i] for i in cone) for g in ideal.gens))
+        cone: LatticeRegion._of(cone, map(Cell._of, delta(
+            cone, minimalize(tuple(g[i] for i in cone) for g in ideal.gens))))
         for cone in fan.max_cones})
 
 

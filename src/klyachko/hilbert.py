@@ -311,13 +311,18 @@ def constant_hilbert_poly(fan, diag):
 
     Constant iff the exponent floor vanishes and every maximal cone's gap
     region is finite; the value is then the total gap count over maximal
-    cones.  Returns (value, None) or (None, reason string).
+    cones.  On a fan of dimension 1 the quotient lives on finitely many
+    points, so the polynomial is always constant: the floor's sum plus the
+    gap count.  Returns (value, None) or (None, reason string).
     """
-    bad_ray = next((i for i, x in enumerate(diag.min_exponents) if x != 0), None)
-    if bad_ray is not None:
-        return None, (f"exponent floor is {diag.min_exponents[bad_ray]} on ray "
-                      f"{bad_ray}; the quotient grows along that direction")
-    total = 0
+    if fan.dim == 1:
+        total = sum(diag.min_exponents)
+    else:
+        bad_ray = next((i for i, x in enumerate(diag.min_exponents) if x != 0), None)
+        if bad_ray is not None:
+            return None, (f"exponent floor is {diag.min_exponents[bad_ray]} on ray "
+                          f"{bad_ray}; the quotient grows along that direction")
+        total = 0
     for cone in fan.max_cones:
         try:
             total += count_region_points(fan, diag.gaps(cone))

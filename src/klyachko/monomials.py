@@ -8,7 +8,7 @@ checked against each other.
 """
 
 import itertools
-from operator import add
+from operator import add, le
 
 from .errors import InputError, json_int
 from .lattice import UnboundedRegionError, enumerate_lattice_points
@@ -16,7 +16,7 @@ from .lattice import UnboundedRegionError, enumerate_lattice_points
 
 def divides(a, b):
     """Whether x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def lcm_exponents(a, b):
@@ -37,10 +37,11 @@ def minimalize(gens):
     """The divisibility-minimal generators among ``gens``, sorted.
 
     A proper divisor has a smaller total degree, so in order of total degree
-    each generator is tested only against the generators already kept.
+    each generator is tested only against the generators already kept.  The
+    exponents are taken as given; ``MonomialIdeal`` checks them.
     """
     kept = []
-    for g in sorted({tuple(int(e) for e in g) for g in gens}, key=lambda g: (sum(g), g)):
+    for g in sorted({tuple(g) for g in gens}, key=lambda g: (sum(g), g)):
         if not any(divides(h, g) for h in kept):
             kept.append(g)
     return tuple(sorted(kept))
@@ -107,11 +108,13 @@ class MonomialIdeal:
     """A monomial ideal, stored by its minimal generators.
 
     The zero ideal has no generators; ``nvars`` therefore has to be given
-    explicitly when it cannot be read off a generator.
+    explicitly when it cannot be read off a generator.  Every exponent must
+    be a nonnegative ``int``: floats, bools and strings are refused, not
+    truncated.
     """
 
     def __init__(self, gens, nvars=None):
-        gens = [tuple(int(e) for e in g) for g in gens]
+        gens = [tuple(json_int(e, "exponent") for e in g) for g in gens]
         for g in gens:
             if any(e < 0 for e in g):
                 raise InputError(f"negative exponent in generator {g}")
@@ -162,7 +165,7 @@ class MonomialIdeal:
             raise InputError(f"malformed ideal data: {exc}") from exc
         if not isinstance(gens, list) or not all(isinstance(g, list) for g in gens):
             raise InputError("malformed ideal data: \"gens\" must be a list of lists")
-        return cls([[json_int(e, "exponent") for e in g] for g in gens], nvars=nvars)
+        return cls(gens, nvars=nvars)
 
 
 def colon_var_saturate(ideal, var):

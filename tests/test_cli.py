@@ -56,6 +56,15 @@ def test_hilbert_command(capsys, files):
     assert payload["note"] is None
 
 
+def test_hilbert_command_on_p1(capsys, files):
+    # the floor x0^2*x1 makes three points, not a growing quotient
+    path = files("p1.json", {"gens": [[2, 1]]})
+    payload = run_json(capsys, ["hilbert", "P1", path, "--degrees", "0..4"])
+    assert [v["value"] for v in payload["values"]] == [1, 2, 3, 3, 3]
+    assert payload["constant_poly"] == 3
+    assert payload["note"] is None
+
+
 def test_hilbert_builds_the_diagram_once(capsys, monkeypatch, files):
     import klyachko.cli as cli
     import klyachko.hilbert as hilbert

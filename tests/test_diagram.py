@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -11,6 +12,7 @@ from klyachko import (Cell, Fan, InputError, KlyachkoDiagram, LatticeRegion,
                       named_fan, product_of_projective_spaces, projective_space,
                       reconstruct_generators, saturate_oracle, shift_diagram,
                       sum_diagram)
+import klyachko.diagram as diagram
 from klyachko.checks import random_ideal
 
 # running example on the projective plane: I = (x2^2, x0*x2, x0*x1)
@@ -280,3 +282,43 @@ def test_gap_cells_are_bounded(name):
         diag = compute_diagram(fan, random_ideal(rng, fan.nrays, max_gens=8, max_exp=5))
         total += sum(len(diag.gaps(cone).cells) for cone in fan.max_cones)
     assert total <= GAP_CELL_BOUNDS[name]
+
+
+# sha256 prefixes of the builder's JSON, stored key and cell order, for 20
+# seeded ideals per fan and the sums of consecutive ones, so that any change
+# of a cell or of the cell order fails
+BUILDER_DIGESTS = {"P2": "a0b9b653f09d8679", "H3": "04989bffc4cfe149",
+                   "P1xP1": "88108569875484c3", "P3": "6381d1fff1e6fcf2",
+                   "P1xP2": "0c8ab772874b02c4", "P2xP2": "dac06652cc354992",
+                   "P4": "9912d168a05b1af2"}
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_builder_output_is_pinned(name):
+    fan = named_fan(name)
+    rng = random.Random(f"digest-{name}")
+    diags = [compute_diagram(fan, random_ideal(rng, fan.nrays, max_gens=8, max_exp=5))
+             for _ in range(20)]
+    diags += [sum_diagram(fan, a, b) for a, b in zip(diags, diags[1:])]
+    text = "\n".join(json.dumps(d.to_json()) for d in diags)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == BUILDER_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_one_minimalize_per_maximal_cone(name, monkeypatch):
+    # the bands of a cone grow one minimal set; only the localization at
+    # each maximal cone is minimalized from scratch
+    original, calls = diagram.minimalize, []
+
+    def counting(gens):
+        calls.append(1)
+        return original(gens)
+
+    fan = named_fan(name)
+    rng = random.Random(f"sweep-{name}")
+    ideals = [random_ideal(rng, fan.nrays, max_gens=8, max_exp=5) for _ in range(20)]
+    monkeypatch.setattr(diagram, "minimalize", counting)
+    for ideal in ideals:
+        calls.clear()
+        compute_diagram(fan, ideal)
+        assert len(calls) == len(fan.max_cones), ideal

@@ -357,6 +357,23 @@ def hilbert_polynomial(grading, diag):
                          for a, c in numerator.items())
 
 
+def test_constant_hilbert_poly_on_p1():
+    # on a fan of dimension 1 the quotient is finitely many points, so the
+    # polynomial is constant even where the exponent floor is not zero
+    fan = named_fan("P1")
+    grading = compute_grading(fan)
+    rng = random.Random("constant-P1")
+    for _ in range(40):
+        ideal = MonomialIdeal([(rng.randint(0, 5), rng.randint(0, 5))
+                               for _ in range(rng.randint(1, 4))])
+        diag = compute_diagram(fan, ideal)
+        [value] = hilbert_values(grading, diag, [(10**6,)])
+        assert constant_hilbert_poly(fan, diag) == (value, None), ideal
+    diag = compute_diagram(fan, MonomialIdeal([(2, 1)]))
+    assert hilbert_values(grading, diag, [(k,) for k in range(5)]) == [1, 2, 3, 3, 3]
+    assert constant_hilbert_poly(fan, diag) == (3, None)
+
+
 @pytest.mark.parametrize("name", CATALOG)
 def test_constant_hilbert_poly_matches_the_hilbert_polynomial(name):
     fan = named_fan(name)

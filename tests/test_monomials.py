@@ -60,6 +60,13 @@ def test_ideal_rejects_bad_generators():
         MonomialIdeal([(1, 0), (1, 0, 0)])
 
 
+@pytest.mark.parametrize("gen", [(1.9, 0, 0), (True, 0, 1), ("2", 0, 1)])
+def test_ideal_refuses_non_integer_exponents(gen):
+    # refused, not truncated by int() to an integer exponent
+    with pytest.raises(InputError, match="exponent must be an integer"):
+        MonomialIdeal([gen])
+
+
 def test_colon_var_saturate():
     ideal = MonomialIdeal([(2, 1), (0, 3)])
     assert colon_var_saturate(ideal, 0).gens == ((0, 1),)
