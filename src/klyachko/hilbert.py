@@ -12,12 +12,13 @@ breakpoint scan for the generators, then Bigatti's pivot recursion,
 ``monomials.k_polynomial``) and dim R_v from the Euler characteristic:
 for a nef class v, dim R_v = chi(O(v)) by Demazure vanishing, and chi is
 one polynomial of degree at most dim in v (Riemann-Roch), interpolated
-exactly once per fan (``euler_characteristic``).  A nef row that is
-nonnegative on every variable's class is nonnegative on every class of a
-monomial, so where it is negative dim R_v = 0.  At the other classes off
-the nef cone, or on a fan whose small nef classes do not determine chi,
-``ring_dimension`` counts the section polytope fiber by fiber.  So the
-work scales with the numerator, not with the degree.
+exactly once per fan on a translated simplex of nef classes
+(``euler_characteristic``).  A nef row that is nonnegative on every
+variable's class is nonnegative on every class of a monomial, so where it
+is negative dim R_v = 0.  At the other classes off the nef cone, or on a
+fan with no ample class, ``ring_dimension`` counts the section polytope
+fiber by fiber.  So the work scales with the numerator, not with the
+degree.
 
 Listings need the monomials themselves.  A monomial of class u is a
 character m of the section polytope of a lift D of u, with exponents
@@ -32,17 +33,15 @@ ideal as the union of the generator intervals; the graded pieces and H^1
 of ``reconstruction`` expand them.  No route lists the polytope's points.
 """
 
-from itertools import chain, count, islice, product
-from math import gcd, lcm, prod
-from operator import mul, sub
+from itertools import count, product
+from math import comb, prod
+from operator import add, getitem, mul, sub
 
 from .diagram import compute_diagram
 from .errors import InfiniteRegionError, InputError, json_int
+from .lattice import bound_tables, eliminate_last, lattice_fibers
 from .linalg import unimodular_inverse
 from .regions import count_region_points, section_fibers
-
-# classes examined for a unisolvent set of nef samples
-_SAMPLE_CANDIDATES = 1 << 13
 
 
 def ring_dimension(grading, degree):
@@ -145,17 +144,19 @@ class EulerCharacteristic:
     forms in v, the rows of one inverse per cone.  A row that is
     nonnegative on every variable's class is nonnegative on every class of
     a monomial, so where such a row is negative, dim R_v = 0 with no walk;
-    those rows are ``effective_rows``.  chi is the polynomial
-    of degree at most dim through the values of ``ring_dimension`` at
-    C(dim + rank, rank) small nef classes, picked in order of their l1
-    norm by an exact rank test and solved by fraction-free elimination.
-    ``terms`` is None when the first ``_SAMPLE_CANDIDATES`` classes hold no
-    such set; ``dimension`` then counts every class with ``ring_dimension``.
+    those rows are ``effective_rows``.  chi is the polynomial of degree at
+    most dim through the values of ``ring_dimension`` on the translated
+    simplex A + {a in N^rank : |a| <= dim}, which is unisolvent for that
+    degree and nef for the ``anchor`` A.  It is kept in Newton form: the
+    forward differences of those values at A are the ``terms``, against
+    products of binomials C(v_i - A_i, a_i), all exact ints.  ``terms`` is
+    None only where the nef cone is not full-dimensional (a complete fan
+    with no ample class); ``dimension`` then walks every class.
     """
 
     def __init__(self, grading):
         fan, rank = grading.fan, grading.rank
-        self.grading, self.terms, self.denominator = grading, None, 1
+        self.grading, self.dim, self.terms = grading, fan.dim, None
         columns = grading.variable_degrees()
         rows = set()
         for sigma in fan.max_cones:
@@ -165,26 +166,24 @@ class EulerCharacteristic:
         self.nef_rows = sorted(rows)
         self.effective_rows = [row for row in self.nef_rows
                                if all(sum(map(mul, row, c)) >= 0 for c in columns)]
-        powers = [a for a in product(range(fan.dim + 1), repeat=rank)
-                  if sum(a) <= fan.dim]
-        samples = _unisolvent(self.is_nef, powers)
-        if samples is not None:
-            # counted as ``ring_dimension`` counts, not through it: chi is
-            # built once per process and reused, so its samples stay out of
-            # the per-pass work that perfbench traces on ``ring_dimension``
-            values = [sum(hi - lo + 1 for _, lo, hi in
-                          section_fibers(fan, grading.canonical_lift(v)))
-                      for v in samples]
-            coefficients, self.denominator = _solve(
-                [_monomials(v, powers) for v in samples], values)
-            self.terms = [(a, c) for a, c in zip(powers, coefficients) if c]
+        self.anchor = _anchor(self.nef_rows, fan.dim)
+        if self.anchor is not None:
+            simplex = [a for a in product(range(fan.dim + 1), repeat=rank)
+                       if sum(a) <= fan.dim]
+            values = {a: ring_dimension(grading, tuple(map(add, self.anchor, a)))
+                      for a in simplex}
+            # Delta^a chi(A) = sum over b <= a of prod (-1)^(a_i-b_i) C(a_i, b_i) chi(A+b)
+            self.terms = [(a, d) for a in simplex if (d := sum(
+                prod((-1) ** (x - y) * comb(x, y) for x, y in zip(a, b)) * values[b]
+                for b in product(*(range(x + 1) for x in a))))]
 
     def is_nef(self, v):
         return all(sum(map(mul, row, v)) >= 0 for row in self.nef_rows)
 
     def __call__(self, v):
         """chi at any class v; it equals dim R_v where v is nef."""
-        return sum(c * prod(map(pow, v, a)) for a, c in self.terms) // self.denominator
+        binomials = [_binomials(x - a, self.dim) for x, a in zip(v, self.anchor)]
+        return sum(d * prod(map(getitem, binomials, a)) for a, d in self.terms)
 
     def dimension(self, v):
         """dim R_v: 0 where an effective row is negative, chi(v) on a nef
@@ -196,63 +195,34 @@ class EulerCharacteristic:
         return ring_dimension(self.grading, v)
 
 
-def _monomials(v, powers):
-    return [prod(map(pow, v, a)) for a in powers]
+def _binomials(x, n):
+    """C(x, k) for k = 0..n, for any int x."""
+    out = [1]
+    for k in range(n):
+        out.append(out[-1] * (x - k) // (k + 1))
+    return out
 
 
-def _l1_shell(rank, radius):
-    """The int vectors of the given l1 norm, in lexicographic order."""
-    if rank == 1:
-        yield from sorted({(-radius,), (radius,)})
-        return
-    for first in range(-radius, radius + 1):
-        for rest in _l1_shell(rank - 1, radius - abs(first)):
-            yield (first,) + rest
+def _anchor(nef_rows, dim):
+    """An integer class A with A + {a in N^rank : |a| <= dim} nef, or None.
 
-
-def _unisolvent(is_nef, powers):
-    """len(powers) nef classes on which the monomials are independent, or None.
-
-    Classes come in order of l1 norm; each is kept when its monomial row is
-    independent of the rows kept so far, by integer row reduction against
-    their echelon form.
+    Such A are the integer points of {w . A >= dim * max(0, -min w) for
+    every nef row w}, whose recession cone is the nef cone: it is nonempty,
+    and then holds integer points, exactly when the nef cone is
+    full-dimensional.  Elimination with rounded bounds keeps every integer
+    point and adds no rational one, so eliminating every variable decides
+    emptiness exactly; the first point is then found in a doubling box.
     """
-    rank = len(powers[0])
-    classes = chain.from_iterable(_l1_shell(rank, radius) for radius in count())
-    echelon, chosen = [], []
-    for v in filter(is_nef, islice(classes, _SAMPLE_CANDIDATES)):
-        row = _monomials(v, powers)
-        for col, base in echelon:
-            if row[col]:
-                row = [base[col] * x - row[col] * y for x, y in zip(row, base)]
-        col = next((k for k, x in enumerate(row) if x), None)
-        if col is not None:
-            echelon.append((col, row))
-            chosen.append(v)
-            if len(chosen) == len(powers):
-                return chosen
-    return None
-
-
-def _solve(matrix, rhs):
-    """The solution of a nonsingular integer system as (numerators, denominator).
-
-    Gauss-Jordan elimination with integer row operations, each row kept
-    primitive; at the end row k reads d_k x_k = b_k.
-    """
-    n = len(matrix)
-    rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        base = rows[col]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                row = [base[col] * x - rows[r][col] * y for x, y in zip(rows[r], base)]
-                g = gcd(*row)
-                rows[r] = [x // g for x in row]
-    denominator = lcm(*(abs(rows[k][k]) for k in range(n)))
-    return [rows[k][n] * (denominator // rows[k][k]) for k in range(n)], denominator
+    rank = len(nef_rows[0])
+    rows = [(w, dim * max(0, -min(w))) for w in nef_rows]
+    tables = bound_tables(rows, rank)
+    if tables is None or eliminate_last(tables[0], 1) is None:
+        return None
+    for radius in (1 << k for k in count()):
+        box = [(tuple(sign * (i == j) for j in range(rank)), -radius)
+               for i in range(rank) for sign in (1, -1)]
+        for prefix, lo, _ in lattice_fibers(rows + box, rank):
+            return prefix + (lo,)
 
 
 _CHARACTERISTICS = {}

@@ -270,20 +270,61 @@ def test_euler_characteristic_interpolates_the_nef_classes(name):
     assert [chi.dimension(u) for u in box] == [ring_dimension(grading, u) for u in box]
 
 
+def p2_blown_up_four_times():
+    fan = projective_space(2)
+    for face in [(1, 2), (0, 1), (0, 2), (1, 3)]:
+        fan = star_subdivide(fan, face)
+    return fan
+
+
 @settings(max_examples=15)
 @given(blown_up_fans(), st.randoms(use_true_random=False))
 def test_dimension_is_ring_dimension_on_blown_up_fans(fan, rng):
     grading = compute_grading(fan)
     chi = EulerCharacteristic(grading)
-    for _ in range(40):
-        v = tuple(rng.randint(-3, 4) for _ in range(grading.rank))
+    # every drawn fan is projective, so its nef cone is full-dimensional
+    assert chi.terms is not None and chi.is_nef(chi.anchor)
+    # classes near the origin are rarely nef at rank >= 4; near the anchor
+    # many are, and chi answers them
+    near_origin = [tuple(rng.randint(-3, 4) for _ in range(grading.rank)) for _ in range(40)]
+    near_anchor = [tuple(a + rng.randint(0, 3) for a in chi.anchor) for _ in range(40)]
+    for v in near_origin + near_anchor + [chi.anchor]:
         assert chi.dimension(v) == ring_dimension(grading, v), v
 
 
+@pytest.mark.parametrize("name", CATALOG + ["P2-blown-up-four-times"])
+def test_chi_walks_one_simplex_of_samples(name, monkeypatch):
+    grading = compute_grading(named_fan(name) or p2_blown_up_four_times())
+    original, samples = hilbert.ring_dimension, []
+
+    def counting(grading, degree):
+        samples.append(degree)
+        return original(grading, degree)
+
+    monkeypatch.setattr(hilbert, "ring_dimension", counting)
+    chi = EulerCharacteristic(grading)
+    assert len(samples) == comb(grading.fan.dim + grading.rank, grading.rank)
+    assert len(set(samples)) == len(samples) and all(map(chi.is_nef, samples))
+
+
+def test_anchor_is_none_exactly_on_an_empty_nef_system():
+    # x >= 0 and -x >= 1: one variable, which projecting alone never refutes
+    assert hilbert._anchor([(1,), (-1,)], 1) is None
+    assert hilbert._anchor([(1, 0), (-1, 1), (0, -1)], 2) is None
+    # x - y >= 2 and y >= 0: the doubling box first meets the system at
+    # radius 2, and (2, 0) comes first there in lexicographic order
+    assert hilbert._anchor([(1, -1), (0, 1)], 2) == (2, 0)
+
+
 def test_euler_characteristic_falls_back_without_samples(monkeypatch, p2_grading):
-    monkeypatch.setattr(hilbert, "_SAMPLE_CANDIDATES", 0)
+    # with every nef row also negated, the nef cone is the origin alone: the
+    # system for an anchor is empty and every value is walked
+    original = hilbert.unimodular_inverse
+    monkeypatch.setattr(hilbert, "unimodular_inverse", lambda rows: [
+        [sign * x for x in row] for sign in (1, -1) for row in original(rows)])
     chi = EulerCharacteristic(p2_grading)
-    assert chi.terms is None
+    assert chi.nef_rows == [(-1,), (1,)]
+    assert chi.anchor is None and chi.terms is None
     monkeypatch.setitem(hilbert._CHARACTERISTICS,
                         (p2_grading.fan, p2_grading.deg_matrix), chi)
     diag = compute_diagram(p2_grading.fan, MonomialIdeal(P2_GENS))
@@ -291,16 +332,17 @@ def test_euler_characteristic_falls_back_without_samples(monkeypatch, p2_grading
         [0, 1, 3, 3, 3, 3, 3]
 
 
-def test_values_are_walked_where_no_nef_samples_determine_chi():
-    # P2 blown up four times (rank 5): the first candidate classes hold no
-    # unisolvent set of nef samples, so every value is walked
-    fan = projective_space(2)
-    for face in [(1, 2), (0, 1), (0, 2), (1, 3)]:
-        fan = star_subdivide(fan, face)
+def test_chi_answers_the_nef_classes_of_p2_blown_up_four_times():
+    # rank 5: the anchor of chi's samples lies away from the origin, near
+    # which few classes are nef
+    fan = p2_blown_up_four_times()
     grading = compute_grading(fan)
-    assert euler_characteristic(grading).terms is None
+    chi = euler_characteristic(grading)
+    assert chi.terms is not None and any(chi.anchor)
     rng = random.Random(4)
     degrees = [tuple(rng.randint(-1, 3) for _ in range(grading.rank)) for _ in range(40)]
+    degrees += [tuple(a + rng.randint(0, 2) for a in chi.anchor) for _ in range(20)]
+    assert sum(map(chi.is_nef, degrees)) >= 10
     for gens in [[(1, 0, 0, 0, 0, 0, 1)], [(2, 0, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 1, 0)]]:
         diag = compute_diagram(fan, MonomialIdeal(gens))
         assert hilbert_values(grading, diag, degrees) == \
