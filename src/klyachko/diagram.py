@@ -10,21 +10,26 @@ the orthant of the floor, and the gaps of a face are the limit of the gaps
 of a maximal cone through it as the pairings off the face grow.  The JSON
 form is that stored data, so a file grows with the maximal cones only.
 
-``compute_diagram`` is the one builder of diagrams from generators, and
-``shift_diagram`` translates one.  The builder minimalizes the
-localization once per maximal cone, buckets its generators by their
-exponent on the cone's last ray, and sweeps those bands upward: the
+``compute_diagram`` builds a diagram from generators, and
+``shift_diagram`` translates one.  The cells over a maximal cone depend
+only on the minimal generators of the localization there, which the
+builder minimalizes once per maximal cone and keeps on the diagram
+(``cone_generators``).  ``diagram_from_cone_generators`` buckets them by
+their exponent on the cone's last ray and sweeps those bands upward: the
 minimal generators of a slab only grow as the band rises, so each band
-updates them instead of minimalizing afresh.  Inside the recursion cells
-are bare bound tuples; they are wrapped and sorted once per maximal cone.
+updates them instead of minimalizing afresh.  The recursion ends at a
+plane, whose gaps are a staircase read off in closed form.  Inside it
+cells are bare bound tuples; they are wrapped and sorted once per maximal
+cone.  The diagram of a sum (``reconstruction.sum_diagram``) sweeps the
+two diagrams' cone generators together, so it scans no saturation.
 The minimal generators of the saturation are read back by
 ``minimal_generator_exponents``: one bitset over the breakpoint grid of
 the exponent box [s, K], the values where some gap cell starts or ends,
 painted with ``regions.box_mask``.  A diagram keeps that scan
-(``saturation_exponents``), so the Hilbert values, the reconstruction, the
-diagram of a sum (``reconstruction.sum_diagram``) and the CLI's check of a
-diagram file share one scan.  It also keeps the numerator of the
-saturation's Hilbert series per grading (``class_numerator``), so a
+(``saturation_exponents``), so the Hilbert values, the reconstruction and
+the CLI's check of a diagram file share one scan, and a diagram read from
+JSON derives its cone generators from it.  It also keeps the numerator of
+the saturation's Hilbert series per grading (``class_numerator``), so a
 Hilbert value at one class does not rerun the recursion behind it.
 """
 
@@ -70,6 +75,16 @@ class KlyachkoDiagram:
             raise InputError("the diagram's gaps cover every monomial above its "
                              "floor; it is not the diagram of a nonzero ideal")
         return tuple(found)
+
+    @cached_property
+    def cone_generators(self):
+        """Per maximal cone, the minimal generators of the localization there.
+
+        Exponents on the cone's rays, sorted; the cells over a cone depend
+        on these alone.  ``compute_diagram`` fills them in; any other
+        diagram derives them once from ``saturation_exponents``.
+        """
+        return _localize(self.fan, self.saturation_exponents)
 
     def class_numerator(self, grading):
         """K(R/I^sat) summed over classes, {u: c_u} without zero terms.
@@ -272,56 +287,89 @@ def compute_diagram(fan, ideal):
     """The Klyachko diagram of a nonzero monomial ideal.
 
     Works one maximal cone at a time on the minimal generators of the
-    localization there (``minimalize`` of the restrictions to the cone's
-    rays, the one call per maximal cone), slicing along the cone's last ray
-    at their distinct levels: the slice of a band is the diagram, over the
-    facet, of the minimal projections of the generators at or below the
-    band.  The generators are bucketed by level once, and the bands are
-    swept upward: each level drops its new projections that a kept one
-    divides, then the kept ones that a new projection divides, so the
-    minimal set grows without being rebuilt.  The recursion returns cells
-    as unsorted bound tuples; ``Cell``s are made and sorted by
-    ``Cell.sort_key`` once per maximal cone, which gives the order a sort
-    at every level would.  An ideal and its saturation have the same
-    localization at every maximal cone, so they get the same cells.
-
-    Only the maximal cones are sliced; the diagram derives the faces.
+    localization there: ``minimalize`` of the restrictions to the cone's
+    rays, the one call per maximal cone, kept as the diagram's
+    ``cone_generators``.  An ideal and its saturation have the same
+    localization at every maximal cone, so they get the same cells.  The
+    cells come from ``diagram_from_cone_generators``, for the maximal cones
+    only; the diagram derives the faces.
     """
     if ideal.is_zero():
         raise InputError("the zero ideal has no diagram")
     if ideal.nvars != fan.nrays:
         raise InputError("ideal and fan have different numbers of variables")
-    s = ideal.min_exponents()
+    return diagram_from_cone_generators(fan, ideal.min_exponents(),
+                                        _localize(fan, ideal.gens))
+
+
+def _localize(fan, gens):
+    """Per maximal cone, the minimal restrictions of gens to the cone's rays."""
+    return {cone: minimalize(tuple(g[i] for i in cone) for g in gens)
+            for cone in fan.max_cones}
+
+
+def diagram_from_cone_generators(fan, s, cone_generators):
+    """The diagram with floor s and these minimal localized generators.
+
+    ``cone_generators`` maps each maximal cone to the sorted minimal
+    generators of the localization there, as exponents on the cone's rays.
+    Each cone is sliced along its last ray at the generators' distinct
+    levels: the slice of a band is the diagram, over the facet, of the
+    minimal projections of the generators at or below the band.  The
+    generators are bucketed by level once, and the bands are swept upward:
+    each level drops its new projections that a kept one divides, then the
+    kept ones that a new projection divides, so the minimal set grows
+    without being rebuilt.  The recursion stops at a plane, whose gaps are
+    a staircase read off in closed form: going up the last ray, each band
+    is cut on the other ray below the least exponent seen so far.  A cone
+    of one ray, on a fan of dimension 1, is the staircase [s, m - 1] below
+    its one generator.  Cells are bare bound tuples until the end; ``Cell``s
+    are made and sorted by ``Cell.sort_key`` once per maximal cone, which
+    gives the order a sort at every level would.
+    """
     memo = {}
 
     def delta(cone, gens):
-        """The gap cells' bound tuples over the cone, unsorted; gens are minimal."""
+        """The gap cells' bound tuples over the cone, unsorted; gens are minimal, sorted."""
+        if len(cone) == 1:
+            (ray,), ((m,),) = cone, gens
+            return [((ray, (s[ray], m - 1)),)] if m > s[ray] else []
+        if len(cone) == 2:
+            # sorted by the first ray, an antichain climbs the last ray; top is
+            # m - 1 for the least first-ray exponent m seen so far
+            a, last = cone
+            result, lo, top = [], s[last], None
+            for x, y in reversed(gens):
+                if y > lo:
+                    result.append(((a, (s[a], top)), (last, (lo, y - 1))))
+                lo, top = y, x - 1
+            if top != s[a] - 1:
+                result.append(((a, (s[a], top)), (last, (lo, None))))
+            return result
         key = (cone, gens)
         if key in memo:
             return memo[key]
-        if not cone:
-            result = [] if gens else [()]
-        else:
-            last = cone[-1]
-            levels = {s[last]: []}
-            for g in gens:
-                levels.setdefault(g[-1], []).append(g[:-1])
-            lows = sorted(levels)
-            kept, result = [], []
-            for j, lo in enumerate(lows):
-                # gens are an antichain, so the projections of one level are too
-                new = [p for p in levels[lo] if not any(divides(k, p) for k in kept)]
-                kept = [k for k in kept if not any(divides(p, k) for p in new)] + new
-                band = (last, (lo, lows[j + 1] - 1 if j + 1 < len(lows) else None))
-                # inner cells leave the last ray free, and the bands are disjoint on it
-                result.extend(c + (band,) for c in delta(cone[:-1], tuple(sorted(kept))))
+        last = cone[-1]
+        levels = {s[last]: []}
+        for g in gens:
+            levels.setdefault(g[-1], []).append(g[:-1])
+        lows = sorted(levels)
+        kept, result = [], []
+        for j, lo in enumerate(lows):
+            # gens are an antichain, so the projections of one level are too
+            new = [p for p in levels[lo] if not any(divides(k, p) for k in kept)]
+            kept = [k for k in kept if not any(divides(p, k) for p in new)] + new
+            band = (last, (lo, lows[j + 1] - 1 if j + 1 < len(lows) else None))
+            # inner cells leave the last ray free, and the bands are disjoint on it
+            result.extend(c + (band,) for c in delta(cone[:-1], tuple(sorted(kept))))
         memo[key] = result
         return result
 
-    return KlyachkoDiagram(fan, s, {
-        cone: LatticeRegion._of(cone, map(Cell._of, delta(
-            cone, minimalize(tuple(g[i] for i in cone) for g in ideal.gens))))
-        for cone in fan.max_cones})
+    diag = KlyachkoDiagram(fan, s, {
+        cone: LatticeRegion._of(cone, map(Cell._of, delta(cone, gens)))
+        for cone, gens in cone_generators.items()})
+    diag.cone_generators = cone_generators
+    return diag
 
 
 def gaps_by_definition(fan, ideal, cone):

@@ -4,21 +4,22 @@ The bridge between characters and monomials: a character m together with a
 divisor lift D names the monomial with exponent vector <m, rho> + D_rho.
 The minimal generators of the saturated ideal are the diagram's own
 breakpoint scan, ``KlyachkoDiagram.saturation_exponents``, run once per
-diagram and shared with the Hilbert values, the diagram of a sum and the
-CLI's check of a diagram file.  The diagram of a sum is ``compute_diagram``
-of the two saturations' generators together, so it needs no region algebra
-of its own.  Graded pieces and H^1 pieces list monomials, so they are
-expanded from the member intervals of ``hilbert.walk_fibers``, one class at
-a time; Hilbert values only count, and ``hilbert`` reads them off the
-K-polynomial of the saturation instead.
+diagram and shared with the Hilbert values and the CLI's check of a
+diagram file.  The diagram of a sum is swept from the two diagrams' minimal
+localized generators together (``KlyachkoDiagram.cone_generators``), so it
+needs no region algebra of its own and, for built diagrams, no scan.
+Graded pieces and H^1 pieces list monomials, so they are expanded from the
+member intervals of ``hilbert.walk_fibers``, one class at a time; Hilbert
+values only count, and ``hilbert`` reads them off the K-polynomial of the
+saturation instead.
 """
 
-from .diagram import compute_diagram
+from .diagram import compute_diagram, diagram_from_cone_generators
 # the breakpoint scan lives on the diagram; its names stay importable from here
 from .diagram import exponent_caps, minimal_generator_exponents  # noqa: F401
 from .errors import InputError, SearchBoxError, json_int
 from .hilbert import interval_minus, walk_fibers
-from .monomials import MonomialIdeal, monomial_str
+from .monomials import MonomialIdeal, minimalize, monomial_str
 
 
 class GradedPiece:
@@ -104,14 +105,24 @@ def reconstruct_generators(grading, diag, search_box=None):
 def sum_diagram(fan, diag_a, diag_b):
     """Diagram of I + J from the diagrams of I and J.
 
-    A diagram depends only on the B-saturation of its ideal, and
-    (I + J)^sat = (I^sat + J^sat)^sat, so the sum's diagram is that of the
-    two saturations' generators together.
+    The localization of I + J at a maximal cone is the sum of the two
+    localizations, so the sum's generators there are the minimal ones
+    among both diagrams' ``cone_generators``, one ``minimalize`` per
+    maximal cone.  Its floor on a ray is the least exponent there; every
+    ray lies in a maximal cone, and each one through it gives the same
+    least exponent.  No saturation is scanned for diagrams that
+    ``compute_diagram`` built.
     """
     if diag_a.fan != fan or diag_b.fan != fan:
         raise InputError("diagrams live on different fans")
-    gens = diag_a.saturation_exponents + diag_b.saturation_exponents
-    return compute_diagram(fan, MonomialIdeal(gens, nvars=fan.nrays))
+    gens_a, gens_b = diag_a.cone_generators, diag_b.cone_generators
+    cone_generators = {cone: minimalize(gens_a[cone] + gens_b[cone])
+                       for cone in fan.max_cones}
+    floor = [None] * fan.nrays
+    for cone, gens in cone_generators.items():
+        for ray, exponents in zip(cone, zip(*gens)):
+            floor[ray] = min(exponents)
+    return diagram_from_cone_generators(fan, floor, cone_generators)
 
 
 def local_cohomology_h1(grading, ideal, divisor, diag=None):

@@ -265,13 +265,20 @@ class LatticeRegion:
         return self.contains_values(values)
 
     def shift(self, fan, vector):
-        """Translate by a lattice vector: bounds move by <vector, rho>, order kept."""
+        """Translate by a lattice vector: bounds move by <vector, rho>, order kept.
+
+        Every bound on a ray moves by the same amount, so the cells keep
+        their ``Cell.sort_key`` order and are stored without a sort.
+        """
         move = {ray: fan.pairing(vector, ray) for ray in self.cone}
-        return LatticeRegion._of(self.cone, [
+        region = object.__new__(LatticeRegion)
+        region.cone = self.cone
+        region.cells = tuple(
             Cell._of(tuple((ray, (None if lo is None else lo + move[ray],
                                   None if hi is None else hi + move[ray]))
                            for ray, (lo, hi) in cell.bounds))
-            for cell in self.cells])
+            for cell in self.cells)
+        return region
 
     def difference(self, other):
         """The first band box of the breakpoint grid in exactly one of the regions.

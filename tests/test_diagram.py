@@ -13,7 +13,9 @@ from klyachko import (Cell, Fan, InputError, KlyachkoDiagram, LatticeRegion,
                       reconstruct_generators, saturate_oracle, shift_diagram,
                       sum_diagram)
 import klyachko.diagram as diagram
+import klyachko.reconstruction as reconstruction
 from klyachko.checks import random_ideal
+from conftest import blown_up_fans
 
 # running example on the projective plane: I = (x2^2, x0*x2, x0*x1)
 P2_GENS = [(0, 0, 2), (1, 0, 1), (1, 1, 0)]
@@ -190,7 +192,7 @@ def test_sum_refuses_diagrams_on_another_fan(p2, h3):
             sum_diagram(p2, *pair)
 
 
-CATALOG = ("P2", "H3", "P1xP1", "P3", "P1xP2", "P2xP2", "P4")
+CATALOG = ("P1", "P2", "H3", "P1xP1", "P3", "P1xP2", "P2xP2", "P4")
 
 
 def catalog_ideals(fan):
@@ -272,7 +274,7 @@ def test_built_regions_are_canonical(case):
 
 # total gap cells over the maximal cones of 20 seeded ideals per fan (up to
 # 8 generators, exponents up to 5), so that a builder cutting more cells fails
-GAP_CELL_BOUNDS = {"P2": 44, "H3": 52, "P1xP1": 47, "P3": 237, "P1xP2": 297,
+GAP_CELL_BOUNDS = {"P1": 0, "P2": 44, "H3": 52, "P1xP1": 47, "P3": 237, "P1xP2": 297,
                    "P2xP2": 1458, "P4": 717}
 
 
@@ -290,7 +292,7 @@ def test_gap_cells_are_bounded(name):
 # sha256 prefixes of the builder's JSON, stored key and cell order, for 20
 # seeded ideals per fan and the sums of consecutive ones, so that any change
 # of a cell or of the cell order fails
-BUILDER_DIGESTS = {"P2": "a0b9b653f09d8679", "H3": "04989bffc4cfe149",
+BUILDER_DIGESTS = {"P1": "c9be3e2c149b94a6", "P2": "a0b9b653f09d8679", "H3": "04989bffc4cfe149",
                    "P1xP1": "88108569875484c3", "P3": "6381d1fff1e6fcf2",
                    "P1xP2": "0c8ab772874b02c4", "P2xP2": "dac06652cc354992",
                    "P4": "9912d168a05b1af2"}
@@ -325,3 +327,48 @@ def test_one_minimalize_per_maximal_cone(name, monkeypatch):
         calls.clear()
         compute_diagram(fan, ideal)
         assert len(calls) == len(fan.max_cones), ideal
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_sum_sweeps_the_cone_generators(name, monkeypatch):
+    # a sum of built diagrams scans no saturation: it minimalizes the two
+    # diagrams' generators once per maximal cone, and a sum of the same
+    # diagrams read back from JSON, which scans them, has the same text
+    counts = {"scan": 0, "minimalize": 0}
+
+    def counting(key, original):
+        def counted(*args):
+            counts[key] += 1
+            return original(*args)
+        return counted
+
+    fan = named_fan(name)
+    rng = random.Random(f"sum-{name}")
+    diags = [compute_diagram(fan, random_ideal(rng, fan.nrays, max_gens=8, max_exp=5))
+             for _ in range(10)]
+    read = [KlyachkoDiagram.from_json(fan, json.loads(json.dumps(d.to_json())))
+            for d in diags]
+    monkeypatch.setattr(diagram, "minimal_generator_exponents",
+                        counting("scan", diagram.minimal_generator_exponents))
+    for module in (diagram, reconstruction):
+        monkeypatch.setattr(module, "minimalize",
+                            counting("minimalize", module.minimalize))
+    for pair, again in zip(zip(diags, diags[1:]), zip(read, read[1:])):
+        counts.update(scan=0, minimalize=0)
+        total = sum_diagram(fan, *pair)
+        assert counts == {"scan": 0, "minimalize": len(fan.max_cones)}
+        assert diagram_text(sum_diagram(fan, *again)) == diagram_text(total)
+
+
+@settings(max_examples=25, report_multiple_bugs=False)
+@given(data=st.data())
+def test_builder_on_blown_up_fans(data):
+    # the plane staircase and the band sweep against the definition, and the
+    # sum against the diagram of the summed ideal, on fans off the catalog
+    fan = data.draw(blown_up_fans())
+    first, second = data.draw(catalog_ideals(fan)), data.draw(catalog_ideals(fan))
+    diag = compute_diagram(fan, first)
+    for cone in fan.max_cones:
+        assert diag.gaps(cone).difference(gaps_by_definition(fan, first, cone)) is None
+    assert (diagram_text(sum_diagram(fan, diag, compute_diagram(fan, second)))
+            == diagram_text(compute_diagram(fan, ideal_sum(first, second))))
