@@ -274,8 +274,8 @@ def test_built_regions_are_canonical(case):
 
 # total gap cells over the maximal cones of 20 seeded ideals per fan (up to
 # 8 generators, exponents up to 5), so that a builder cutting more cells fails
-GAP_CELL_BOUNDS = {"P1": 0, "P2": 44, "H3": 52, "P1xP1": 47, "P3": 237, "P1xP2": 297,
-                   "P2xP2": 1458, "P4": 717}
+GAP_CELL_BOUNDS = {"P1": 0, "P2": 44, "H3": 52, "P1xP1": 47, "P3": 237,
+                   "P1xP2": 297, "P2xP2": 1458, "P4": 717}
 
 
 @pytest.mark.parametrize("name", CATALOG)
@@ -292,10 +292,10 @@ def test_gap_cells_are_bounded(name):
 # sha256 prefixes of the builder's JSON, stored key and cell order, for 20
 # seeded ideals per fan and the sums of consecutive ones, so that any change
 # of a cell or of the cell order fails
-BUILDER_DIGESTS = {"P1": "c9be3e2c149b94a6", "P2": "a0b9b653f09d8679", "H3": "04989bffc4cfe149",
-                   "P1xP1": "88108569875484c3", "P3": "6381d1fff1e6fcf2",
-                   "P1xP2": "0c8ab772874b02c4", "P2xP2": "dac06652cc354992",
-                   "P4": "9912d168a05b1af2"}
+BUILDER_DIGESTS = {"P1": "c9be3e2c149b94a6", "P2": "a0b9b653f09d8679",
+                   "H3": "04989bffc4cfe149", "P1xP1": "88108569875484c3",
+                   "P3": "6381d1fff1e6fcf2", "P1xP2": "0c8ab772874b02c4",
+                   "P2xP2": "dac06652cc354992", "P4": "9912d168a05b1af2"}
 
 
 @pytest.mark.parametrize("name", CATALOG)
