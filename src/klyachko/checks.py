@@ -7,9 +7,11 @@ saturation.  Each is decided exactly over all of ``M``, not on a finite
 window.  The witness is a corner of the difference cell, in the cone's
 pairing coordinates and, on maximal cones, as a character.  The Hilbert
 check compares values on the generator classes padded by a couple of steps
-in every class coordinate.  ``check_report`` reports all four properties
-over a list of ideals, for the random suite and for ``klyachko check FAN
-IDEAL`` alike.
+in every class coordinate.  ``check_ideal`` computes the diagram and the
+oracle saturation (``saturate_oracle``) of an ideal once, and the
+roundtrip, Hilbert and saturation checks share that one saturation.
+``check_report`` reports all four properties over a list of ideals, for
+the random suite and for ``klyachko check FAN IDEAL`` alike.
 """
 
 import random
@@ -68,23 +70,25 @@ def check_membership_identity(fan, ideal, diag=None):
     return None
 
 
-def check_roundtrip(fan, grading, ideal, diag=None):
+def check_roundtrip(fan, grading, ideal, diag=None, sat=None):
     """reconstruct(diagram(I)) == brute-force saturation of I."""
     if diag is None:
         diag = compute_diagram(fan, ideal)
+    if sat is None:
+        sat = saturate_oracle(ideal, fan)
     rebuilt = reconstruct_generators(grading, diag)
-    oracle = saturate_oracle(ideal, fan)
-    if rebuilt != oracle:
+    if rebuilt != sat:
         return (f"reconstruction gives {sorted(rebuilt.gens)}, "
-                f"oracle gives {sorted(oracle.gens)}")
+                f"oracle gives {sorted(sat.gens)}")
     return None
 
 
-def check_hilbert(fan, grading, ideal, diag=None, pad=None):
+def check_hilbert(fan, grading, ideal, diag=None, pad=None, sat=None):
     """Diagram Hilbert values == counting monomials outside the saturation."""
     if diag is None:
         diag = compute_diagram(fan, ideal)
-    sat = saturate_oracle(ideal, fan)
+    if sat is None:
+        sat = saturate_oracle(ideal, fan)
     if sat.is_unit():
         degrees = degree_window(grading, ideal, pad=1)
     else:
@@ -98,11 +102,13 @@ def check_hilbert(fan, grading, ideal, diag=None, pad=None):
     return None
 
 
-def check_saturation_invariance(fan, ideal, diag=None):
+def check_saturation_invariance(fan, ideal, diag=None, sat=None):
     """Diagram of I == diagram of its saturation, as sets of characters."""
     if diag is None:
         diag = compute_diagram(fan, ideal)
-    reference = compute_diagram(fan, saturate_oracle(ideal, fan))
+    if sat is None:
+        sat = saturate_oracle(ideal, fan)
+    reference = compute_diagram(fan, sat)
     found = _witness(fan, diag, reference)
     if found is None:
         return None
@@ -114,13 +120,17 @@ PROPERTY_NAMES = ("membership", "roundtrip", "hilbert", "saturation")
 
 
 def check_ideal(fan, grading, ideal):
-    """All four properties on one ideal; dict of property -> witness or None."""
+    """All four properties on one ideal; dict of property -> witness or None.
+
+    The diagram and the oracle saturation are computed once and shared.
+    """
     diag = compute_diagram(fan, ideal)
+    sat = saturate_oracle(ideal, fan)
     return {
         "membership": check_membership_identity(fan, ideal, diag),
-        "roundtrip": check_roundtrip(fan, grading, ideal, diag),
-        "hilbert": check_hilbert(fan, grading, ideal, diag),
-        "saturation": check_saturation_invariance(fan, ideal, diag),
+        "roundtrip": check_roundtrip(fan, grading, ideal, diag, sat=sat),
+        "hilbert": check_hilbert(fan, grading, ideal, diag, sat=sat),
+        "saturation": check_saturation_invariance(fan, ideal, diag, sat=sat),
     }
 
 

@@ -158,10 +158,3 @@ def lattice_fibers(rows, d):
     first = [((c[0],), b) for c, b in tables[0]]
     yield from walk(0, (), first)
 
-
-def enumerate_lattice_points(rows, d):
-    """All integer points of the system, sorted.  Raises if unbounded."""
-    if d == 0:
-        return [() for _ in lattice_fibers(rows, 0)]
-    return [prefix + (v,) for prefix, lo, hi in lattice_fibers(rows, d)
-            for v in range(lo, hi + 1)]

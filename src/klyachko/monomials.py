@@ -4,14 +4,17 @@ Monomials are exponent tuples over the ray-indexed variables x0..x{r-1}.
 Everything in this module is elementary divisibility algebra, down to the
 numerator of an ideal's Hilbert series (``k_polynomial``); it is kept
 independent of the diagram machinery on purpose, so the two sides can be
-checked against each other.
+checked against each other.  The monomials of one class are walked in the
+grading's ``dim`` free exponents, the rays outside its class-group basis
+(``_class_fibers``): the listing expands that walk's lines, and the Hilbert
+oracle counts each line by intervals of divisibility.
 """
 
 import itertools
-from operator import add, le
+from operator import add, le, mul
 
 from .errors import InputError, json_int
-from .lattice import UnboundedRegionError, enumerate_lattice_points
+from .lattice import UnboundedRegionError, lattice_fibers
 
 
 def divides(a, b):
@@ -208,32 +211,83 @@ def saturate_oracle(ideal, fan):
     return result
 
 
-def monomials_of_degree(grading, degree):
-    """All exponent vectors of the given class, sorted.
+def _class_fibers(grading, degree):
+    """The monomials of one class, as lines ``(base, slope, lo, hi)``.
 
-    Enumerated directly in exponent space: nonnegativity plus the grading
-    equations, solved by exact rational elimination with integer rounding.
+    ``deg_matrix`` is the identity on ``basis_rays``, so a monomial of
+    class u is fixed by its exponents x_j on the ``dim`` other rays:
+    x_b = u_b - sum_j deg[b][j] x_j.  ``lattice_fibers`` walks those free
+    exponents under x_j >= 0 and x_b >= 0, and each fiber of the last one,
+    t, is the line of exponent vectors base + t * slope for lo <= t <= hi.
     """
-    r = grading.fan.nrays
     if len(degree) != grading.rank:
         raise InputError(f"degree {degree} has length {len(degree)}, expected {grading.rank}")
-    rows = []
-    for i in range(r):
-        rows.append((tuple(1 if j == i else 0 for j in range(r)), 0))
-    for row, a in zip(grading.deg_matrix, degree):
-        rows.append((tuple(row), int(a)))
-        rows.append((tuple(-x for x in row), -int(a)))
+    degree = [json_int(a, "degree entry") for a in degree]
+    r, basis, deg = grading.fan.nrays, grading.basis_rays, grading.deg_matrix
+    free = [j for j in range(r) if j not in basis]
+    d = len(free)
+    rows = [(tuple(int(i == k) for i in range(d)), 0) for k in range(d)]
+    rows += [(tuple(-row[j] for j in free), -a) for row, a in zip(deg, degree)]
+    *head, last = free
+    slope = [0] * r
+    slope[last] = 1
+    for row, b in zip(deg, basis):
+        slope[b] = -row[last]
+    # per basis ray: its class entry and its coefficients on the prefix
+    pinned = [(b, a, [row[j] for j in head]) for row, b, a in zip(deg, basis, degree)]
     try:
-        return enumerate_lattice_points(rows, r)
+        for prefix, lo, hi in lattice_fibers(rows, d):
+            base = [0] * r
+            for j, x in zip(head, prefix):
+                base[j] = x
+            for b, a, coeffs in pinned:
+                base[b] = a - sum(map(mul, coeffs, prefix))
+            yield base, slope, lo, hi
     except UnboundedRegionError as exc:
         raise InputError("infinitely many monomials in one class; "
                          "the grading is not pointed") from exc
 
 
+def monomials_of_degree(grading, degree):
+    """All exponent vectors of the given class, sorted.
+
+    The lines of ``_class_fibers``, expanded point by point.  Each degree
+    entry must be an ``int``: floats and bools are refused, not truncated.
+    """
+    return sorted(tuple(x + t * s for x, s in zip(base, slope))
+                  for base, slope, lo, hi in _class_fibers(grading, degree)
+                  for t in range(lo, hi + 1))
+
+
 def hilbert_oracle(ideal, grading, degree):
-    """dim (R/I)_degree by counting monomials outside the ideal."""
-    return sum(1 for exps in monomials_of_degree(grading, degree)
-               if exps not in ideal)
+    """dim (R/I)_degree: the monomials of the class outside the ideal, counted per line.
+
+    On a line of ``_class_fibers`` every exponent is affine in t, so a
+    generator divides the monomial exactly on one interval of t.  The
+    count is the line's length minus the union of those intervals.
+    """
+    count = 0
+    for base, slope, lo, hi in _class_fibers(grading, degree):
+        spans = []
+        for g in ideal.gens:
+            a, b = lo, hi
+            for x, s, e in zip(base, slope, g):
+                if s > 0:
+                    a = max(a, -((x - e) // s))
+                elif s < 0:
+                    b = min(b, (x - e) // -s)
+                elif x < e:
+                    break
+            else:
+                if a <= b:
+                    spans.append((a, b))
+        count += hi - lo + 1
+        reach = lo - 1
+        for a, b in sorted(spans):
+            if b > reach:
+                count -= b - max(a, reach + 1) + 1
+                reach = b
+    return count
 
 
 def degree_window(grading, ideal, pad=2):

@@ -3,7 +3,8 @@ import random
 import pytest
 from conftest import star_subdivide
 
-from klyachko import KlyachkoDiagram, MonomialIdeal, compute_diagram, projective_space
+from klyachko import (KlyachkoDiagram, MonomialIdeal, compute_diagram, projective_space,
+                      saturate_oracle)
 from klyachko.checks import (PROPERTY_NAMES, check_hilbert, check_ideal,
                              check_membership_identity, check_roundtrip,
                              check_saturation_invariance, random_ideal, run_suite)
@@ -120,7 +121,7 @@ def test_run_suite_on_blown_up_fans(base, faces):
 def test_run_suite_reports_failures(p2, monkeypatch):
     import klyachko.checks as checks
 
-    def always_wrong(fan, ideal, diag=None):
+    def always_wrong(fan, ideal, diag=None, sat=None):
         return "forced witness"
 
     monkeypatch.setattr(checks, "check_saturation_invariance", always_wrong)
@@ -130,3 +131,18 @@ def test_run_suite_reports_failures(p2, monkeypatch):
     assert len(saturation["failures"]) == 3
     assert saturation["failures"][0]["witness"] == "forced witness"
     assert saturation["failures"][0]["case"] == 0
+
+
+def test_one_saturation_per_ideal(p2, monkeypatch):
+    # check_ideal computes the oracle saturation once and shares it
+    import klyachko.checks as checks
+    calls = []
+
+    def counted(ideal, fan):
+        calls.append(ideal)
+        return saturate_oracle(ideal, fan)
+
+    monkeypatch.setattr(checks, "saturate_oracle", counted)
+    report = checks.run_suite(p2, count=5)
+    assert len(calls) == 5
+    assert [p["status"] for p in report["properties"]] == ["pass"] * len(PROPERTY_NAMES)

@@ -3,8 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from klyachko.lattice import (UnboundedRegionError, enumerate_lattice_points,
-                              normalize_row)
+from klyachko.lattice import UnboundedRegionError, lattice_fibers, normalize_row
 
 
 def brute(rows, d, width=12):
@@ -19,6 +18,12 @@ def brute(rows, d, width=12):
             walk(prefix + [v])
     walk([])
     return sorted(out)
+
+
+def points(rows, d):
+    """The integer points of the system, expanded from its fibers in walk order."""
+    return [prefix + (t,) for prefix, lo, hi in lattice_fibers(rows, d)
+            for t in range(lo, hi + 1)]
 
 
 def test_normalize_row_divides_by_gcd():
@@ -45,38 +50,38 @@ def test_normalize_row_ceiling_matches_brute():
 
 def test_enumerate_square():
     rows = [((1, 0), 0), ((-1, 0), -2), ((0, 1), 0), ((0, -1), -2)]
-    pts = enumerate_lattice_points(rows, 2)
+    pts = points(rows, 2)
     assert pts == [(x, y) for x in range(3) for y in range(3)]
-    assert len(enumerate_lattice_points(rows, 2)) == 9
+    assert len(points(rows, 2)) == 9
 
 
 def test_enumerate_triangle():
     # x, y >= 0, x + y <= 2
     rows = [((1, 0), 0), ((0, 1), 0), ((-1, -1), -2)]
-    pts = enumerate_lattice_points(rows, 2)
+    pts = points(rows, 2)
     assert pts == brute(rows, 2)
     assert len(pts) == 6
 
 
 def test_enumerate_empty():
     rows = [((1,), 3), ((-1,), -1)]  # x >= 3 and x <= 1
-    assert enumerate_lattice_points(rows, 1) == []
-    assert len(enumerate_lattice_points(rows, 1)) == 0
+    assert points(rows, 1) == []
+    assert len(points(rows, 1)) == 0
 
 
 def test_enumerate_unbounded():
     with pytest.raises(UnboundedRegionError):
-        enumerate_lattice_points([((1, 0), 0), ((0, 1), 0)], 2)
+        points([((1, 0), 0), ((0, 1), 0)], 2)
     with pytest.raises(UnboundedRegionError):
-        len(enumerate_lattice_points([((1,), 0)], 1))
+        len(points([((1,), 0)], 1))
 
 
 def test_enumerate_simplex_3d():
     rows = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), -3)]
-    pts = enumerate_lattice_points(rows, 3)
+    pts = points(rows, 3)
     assert len(pts) == 20  # binomial(6, 3)
     assert pts == brute(rows, 3, width=5)
-    assert len(enumerate_lattice_points(rows, 3)) == 20
+    assert len(points(rows, 3)) == 20
 
 
 @st.composite
@@ -97,14 +102,14 @@ def boxed_systems(draw):
 @given(boxed_systems())
 def test_enumerate_random_vs_brute(case):
     rows, d = case
-    pts = enumerate_lattice_points(rows, d)
+    pts = points(rows, d)
     assert pts == brute(rows, d, width=9)
-    assert len(enumerate_lattice_points(rows, d)) == len(pts)
+    assert len(points(rows, d)) == len(pts)
 
 
 def test_skewed_lattice_region():
     # x - y >= 0, y >= 1, x + y <= 5
     rows = [((1, -1), 0), ((0, 1), 1), ((-1, -1), -5)]
-    pts = enumerate_lattice_points(rows, 2)
+    pts = points(rows, 2)
     assert pts == brute(rows, 2)
     assert (2, 2) in pts and (1, 2) not in pts
