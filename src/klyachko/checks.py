@@ -7,16 +7,20 @@ saturation.  Each is decided exactly over all of ``M``, not on a finite
 window.  The witness is a corner of the difference cell, in the cone's
 pairing coordinates and, on maximal cones, as a character.  The Hilbert
 check compares values on the generator classes padded by a couple of steps
-in every class coordinate.  ``check_ideal`` computes the diagram and the
-oracle saturation (``saturate_oracle``) of an ideal once, and the
-roundtrip, Hilbert and saturation checks share that one saturation.
+in every class coordinate.  The roundtrip check reads the saturation both
+from the built diagram and from the same diagram given by its cells, so it
+covers both scans of ``minimal_generator_exponents``.  ``check_ideal``
+computes the diagram and the oracle saturation (``saturate_oracle``) of an
+ideal once, and the roundtrip, Hilbert and saturation checks share that
+one saturation.
 ``check_report`` reports all four properties over a list of ideals, for
 the random suite and for ``klyachko check FAN IDEAL`` alike.
 """
 
 import random
 
-from .diagram import compute_diagram, gaps_by_definition, support_region
+from .diagram import (KlyachkoDiagram, compute_diagram, gaps_by_definition,
+                      support_region)
 from .hilbert import hilbert_values
 from .monomials import MonomialIdeal, degree_window, hilbert_oracle, saturate_oracle
 from .reconstruction import reconstruct_generators
@@ -71,15 +75,24 @@ def check_membership_identity(fan, ideal, diag=None):
 
 
 def check_roundtrip(fan, grading, ideal, diag=None, sat=None):
-    """reconstruct(diagram(I)) == brute-force saturation of I."""
+    """reconstruct(diagram(I)) == brute-force saturation of I, by both scans.
+
+    The saturation is read from the diagram and from the same diagram given
+    by its maximal cones' cells, as ``klyachko saturate DIAGRAM.json``
+    reads a file; a built diagram scans its generators, the other its
+    cells.  The witness names the route that disagreed.
+    """
     if diag is None:
         diag = compute_diagram(fan, ideal)
     if sat is None:
         sat = saturate_oracle(ideal, fan)
-    rebuilt = reconstruct_generators(grading, diag)
-    if rebuilt != sat:
-        return (f"reconstruction gives {sorted(rebuilt.gens)}, "
-                f"oracle gives {sorted(sat.gens)}")
+    given = KlyachkoDiagram(fan, diag.min_exponents,
+                            {cone: diag.gaps(cone) for cone in fan.max_cones})
+    for route, source in (("the diagram", diag), ("its cells", given)):
+        rebuilt = reconstruct_generators(grading, source)
+        if rebuilt != sat:
+            return (f"reconstruction from {route} gives {sorted(rebuilt.gens)}, "
+                    f"oracle gives {sorted(sat.gens)}")
     return None
 
 

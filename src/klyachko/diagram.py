@@ -14,23 +14,33 @@ form is that stored data, so a file grows with the maximal cones only.
 ``shift_diagram`` translates one.  The cells over a maximal cone depend
 only on the minimal generators of the localization there, which the
 builder minimalizes once per maximal cone and keeps on the diagram
-(``cone_generators``).  ``diagram_from_cone_generators`` buckets them by
-their exponent on the cone's last ray and sweeps those bands upward: the
-minimal generators of a slab only grow as the band rises, so each band
-updates them instead of minimalizing afresh.  The recursion ends at a
-plane, whose gaps are a staircase read off in closed form.  Inside it
-cells are bare bound tuples; they are wrapped and sorted once per maximal
-cone.  The diagram of a sum (``reconstruction.sum_diagram``) sweeps the
+(``cone_generators``), with the floor.  A built diagram makes no cell
+until something reads them (``gaps``, ``to_json``, ``difference``,
+``shift_diagram``, the renderers, ``hilbert.walk_fibers`` and
+``constant_hilbert_poly``); the first read sweeps every maximal cone
+once (``_sweep``).  The sweep buckets a cone's generators by their
+exponent on the cone's last ray and goes up those bands: the minimal
+generators of a slab only grow as the band rises, so each band updates
+them instead of minimalizing afresh.  The recursion ends at a plane,
+whose gaps are a staircase read off in closed form.  Inside it cells are
+bare bound tuples; they are wrapped and sorted once per maximal cone.
+The diagram of a sum (``reconstruction.sum_diagram``) is built from the
 two diagrams' cone generators together, so it scans no saturation.
 The minimal generators of the saturation are read back by
 ``minimal_generator_exponents``: one bitset over the breakpoint grid of
-the exponent box [s, K], the values where some gap cell starts or ends,
-painted with ``regions.box_mask``.  A diagram keeps that scan
+the exponent box [s, K], painted with ``regions.box_mask``.  For a built
+diagram the breakpoints are the cone generators' exponents and each
+maximal cone's members are the union of its generators' orthants (a
+staircase is fixed by its corners), so the scan makes no cell.  A
+diagram given by its cells, as ``from_json`` reads a file, paints its gap
+cells instead, on the values where some cell starts or ends; that route
+also serves gap sets that no ideal has.  A diagram keeps its scan
 (``saturation_exponents``), so the Hilbert values, the reconstruction and
-the CLI's check of a diagram file share one scan, and a diagram read from
-JSON derives its cone generators from it.  It also keeps the numerator of
-the saturation's Hilbert series per grading (``class_numerator``), so a
-Hilbert value at one class does not rerun the recursion behind it.
+the CLI's check of a diagram file share one scan, and a diagram given by
+its cells derives its cone generators from it.  It also keeps the
+numerator of the saturation's Hilbert series per grading
+(``class_numerator``), so a Hilbert value at one class does not rerun the
+recursion behind it.
 """
 
 from bisect import bisect_left, bisect_right
@@ -48,6 +58,11 @@ ConeEntry = namedtuple("ConeEntry", ["support", "gaps"])
 class KlyachkoDiagram:
     """The exponent floor vector plus the gap regions of the maximal cones."""
 
+    # True for a diagram built from its cone generators: its members are the
+    # union of their orthants, cone by cone.  A diagram given by its cells
+    # may have gap sets that no ideal has.
+    _built = False
+
     def __init__(self, fan, min_exponents, gaps):
         self.fan = fan
         self.min_exponents = tuple(json_int(x, "exponent floor entry")
@@ -61,6 +76,15 @@ class KlyachkoDiagram:
                              f"{exc.args[0]}") from exc
         self._supports = {}
         self._numerators = {}
+
+    @cached_property
+    def _gaps(self):
+        """{cone: gap region}, the maximal cones swept once, on first read.
+
+        A diagram given by its cells sets this in ``__init__``; the faces'
+        regions join it as ``gaps`` derives them.
+        """
+        return _sweep(self.fan, self.min_exponents, self.cone_generators)
 
     @cached_property
     def saturation_exponents(self):
@@ -81,8 +105,8 @@ class KlyachkoDiagram:
         """Per maximal cone, the minimal generators of the localization there.
 
         Exponents on the cone's rays, sorted; the cells over a cone depend
-        on these alone.  ``compute_diagram`` fills them in; any other
-        diagram derives them once from ``saturation_exponents``.
+        on these alone.  A built diagram keeps them; a diagram given by its
+        cells derives them once from ``saturation_exponents``.
         """
         return _localize(self.fan, self.saturation_exponents)
 
@@ -194,13 +218,19 @@ class KlyachkoDiagram:
 def exponent_caps(fan, diag):
     """Per-variable bound K on minimal generator exponents of the saturation.
 
-    K_rho is the exponent floor unless some gap cell bounds the ray from
-    above, in which case one past the largest such bound.  Any monomial with
-    an exponent beyond K stays in the ideal after division by that variable:
+    For a built diagram, K_rho is the largest exponent on the ray among
+    the cone generators of the maximal cones through it: a member stays
+    one when such an exponent grows, since the orthant that holds it
+    holds its multiples.  For a diagram given by its cells, K_rho is the
+    exponent floor unless some gap cell bounds the ray from above, in
+    which case one past the largest such bound.  Any monomial with an
+    exponent beyond K stays in the ideal after division by that variable:
     a gap cell capturing the divided exponent vector has no upper bound on
     the ray, so it would capture the original vector too.  Hence minimal
     generators live inside the box [s, K].
     """
+    if diag._built:
+        return tuple(map(max, _generator_values(diag)))
     caps = list(diag.min_exponents)
     for cone in fan.max_cones:
         for cell in diag.gaps(cone).cells:
@@ -208,6 +238,15 @@ def exponent_caps(fan, diag):
                 if hi is not None:
                     caps[ray] = max(caps[ray], hi + 1)
     return tuple(caps)
+
+
+def _generator_values(diag):
+    """Per ray, the floor and the cone generators' exponents on it, as a set."""
+    values = [{x} for x in diag.min_exponents]
+    for cone, gens in diag.cone_generators.items():
+        for ray, exponents in zip(cone, zip(*gens)):
+            values[ray].update(exponents)
+    return values
 
 
 def _breakpoints(fan, diag, caps):
@@ -228,28 +267,22 @@ def _breakpoints(fan, diag, caps):
     return [sorted(p) for p in points]
 
 
-def minimal_generator_exponents(fan, diag):
-    """Exponent vectors of the saturation's minimal generators.
+def _orthant_members(fan, diag, grid, sizes, strides):
+    """The grid points in some cone generator's orthant on every maximal cone."""
+    members = (1 << (strides[0] * sizes[0])) - 1
+    for cone, gens in diag.cone_generators.items():
+        union = 0
+        for g in gens:
+            ranges = [(0, size) for size in sizes]
+            for ray, x in zip(cone, g):
+                ranges[ray] = (bisect_left(grid[ray], x), sizes[ray])
+            union |= box_mask(ranges, strides)
+        members &= union
+    return members
 
-    Reads them off one bitset over the breakpoint grid of the box [s, K],
-    one bit per grid point in ``itertools.product`` order (last ray
-    fastest).  Every gap cell of every maximal cone is painted in as a box
-    of breakpoint-index ranges; the rest are the members.  A member is
-    minimal when none of its lower neighbours, one breakpoint down on a
-    single ray, is a member: one shift per ray finds them all, so the scan
-    costs O(cells x grid / 64) word operations.  Exact because exponents
-    >= s make support membership automatic, so membership is avoidance of
-    every maximal cone's gaps.  A minimal generator sits on breakpoints
-    (otherwise one step down keeps membership), and one step down from a
-    breakpoint lands in the range of the previous one, so the result equals
-    a scan of every point of the box.
-    """
-    caps = exponent_caps(fan, diag)
-    grid = _breakpoints(fan, diag, caps)
-    sizes = [len(points) for points in grid]
-    strides = grid_strides(sizes)
-    full = (1 << (strides[0] * sizes[0])) - 1
 
+def _gap_avoiders(fan, diag, grid, sizes, strides):
+    """The grid points in no gap cell of any maximal cone."""
     gaps = 0
     for cone in fan.max_cones:
         for cell in diag.gaps(cone).cells:
@@ -260,7 +293,41 @@ def minimal_generator_exponents(fan, diag):
                                sizes[ray] if hi is None else bisect_right(points, hi))
             if all(a < b for a, b in ranges):
                 gaps |= box_mask(ranges, strides)
-    members = full & ~gaps
+    return ((1 << (strides[0] * sizes[0])) - 1) & ~gaps
+
+
+def minimal_generator_exponents(fan, diag):
+    """Exponent vectors of the saturation's minimal generators.
+
+    Reads them off one bitset over the breakpoint grid of the box [s, K],
+    one bit per grid point in ``itertools.product`` order (last ray
+    fastest).  For a built diagram the breakpoints are the cone
+    generators' exponents, and a maximal cone's members are the union of
+    its generators' orthants, one box per generator from its exponents up
+    on the cone's rays; the members of the saturation are those of every
+    maximal cone, so the paint costs O(generators x grid / 64) word
+    operations and makes no cell.  For a diagram given by its cells, every
+    gap cell of every maximal cone is painted in as a box of
+    breakpoint-index ranges, and the rest are the members: O(cells x grid
+    / 64).  That route is exact because exponents >= s make support
+    membership automatic, so membership is avoidance of every maximal
+    cone's gaps, and it also serves gap sets that no ideal has.  A member
+    is minimal when none of its lower neighbours, one breakpoint down on a
+    single ray, is a member: one shift per ray finds them all.  A minimal
+    generator sits on breakpoints (otherwise one step down keeps
+    membership), and one step down from a breakpoint lands in the range of
+    the previous one, so the result equals a scan of every point of the
+    box.
+    """
+    if diag._built:
+        grid = [sorted(values) for values in _generator_values(diag)]
+        caps, paint = tuple(points[-1] for points in grid), _orthant_members
+    else:
+        caps = exponent_caps(fan, diag)
+        grid, paint = _breakpoints(fan, diag, caps), _gap_avoiders
+    sizes = [len(points) for points in grid]
+    strides = grid_strides(sizes)
+    members = paint(fan, diag, grid, sizes, strides)
 
     lower = 0
     for r in range(fan.nrays):
@@ -291,8 +358,8 @@ def compute_diagram(fan, ideal):
     rays, the one call per maximal cone, kept as the diagram's
     ``cone_generators``.  An ideal and its saturation have the same
     localization at every maximal cone, so they get the same cells.  The
-    cells come from ``diagram_from_cone_generators``, for the maximal cones
-    only; the diagram derives the faces.
+    diagram keeps them and sweeps its cells, for the maximal cones only,
+    when they are first read; it derives the faces.
     """
     if ideal.is_zero():
         raise InputError("the zero ideal has no diagram")
@@ -313,6 +380,21 @@ def diagram_from_cone_generators(fan, s, cone_generators):
 
     ``cone_generators`` maps each maximal cone to the sorted minimal
     generators of the localization there, as exponents on the cone's rays.
+    The diagram keeps both, unchecked; its cells are swept by ``_sweep``
+    when they are first read, and its saturation is scanned from the
+    generators' orthants.
+    """
+    diag = object.__new__(KlyachkoDiagram)
+    diag.fan, diag.min_exponents = fan, tuple(s)
+    diag.cone_generators = cone_generators
+    diag._built = True
+    diag._supports, diag._numerators = {}, {}
+    return diag
+
+
+def _sweep(fan, s, cone_generators):
+    """{maximal cone: gap region} of the floor s and these cone generators.
+
     Each cone is sliced along its last ray at the generators' distinct
     levels: the slice of a band is the diagram, over the facet, of the
     minimal projections of the generators at or below the band.  The
@@ -365,11 +447,8 @@ def diagram_from_cone_generators(fan, s, cone_generators):
         memo[key] = result
         return result
 
-    diag = KlyachkoDiagram(fan, s, {
-        cone: LatticeRegion._of(cone, map(Cell._of, delta(cone, gens)))
-        for cone, gens in cone_generators.items()})
-    diag.cone_generators = cone_generators
-    return diag
+    return {cone: LatticeRegion._of(cone, map(Cell._of, delta(cone, gens)))
+            for cone, gens in cone_generators.items()}
 
 
 def gaps_by_definition(fan, ideal, cone):
@@ -386,17 +465,18 @@ def shift_diagram(fan, diag, divisor):
     """Per maximal cone, the diagram regions of the twist by the divisor.
 
     On a maximal cone the twist translates the support and gap regions by
-    minus the character that pairs to the divisor's coefficients on the
-    cone's rays.
+    minus the character tau that pairs to the divisor's coefficients on
+    the cone's rays, so every bound on a ray rho of the cone moves by
+    -D_rho; no character is solved for.
 
     Returns a dict mapping each maximal cone to its shifted ConeEntry.
     """
     if len(divisor) != fan.nrays:
         raise InputError("divisor length does not match the ray count")
+    divisor = [json_int(d, "divisor entry") for d in divisor]
     shifted = {}
     for cone in fan.max_cones:
-        tau = fan.character(cone, [divisor[i] for i in cone])
-        neg = tuple(-t for t in tau)
-        shifted[cone] = ConeEntry(diag.support(cone).shift(fan, neg),
-                                  diag.gaps(cone).shift(fan, neg))
+        move = {ray: -divisor[ray] for ray in cone}
+        shifted[cone] = ConeEntry(diag.support(cone).translate(move),
+                                  diag.gaps(cone).translate(move))
     return shifted

@@ -5,9 +5,12 @@ divisor lift D names the monomial with exponent vector <m, rho> + D_rho.
 The minimal generators of the saturated ideal are the diagram's own
 breakpoint scan, ``KlyachkoDiagram.saturation_exponents``, run once per
 diagram and shared with the Hilbert values and the CLI's check of a
-diagram file.  The diagram of a sum is swept from the two diagrams' minimal
-localized generators together (``KlyachkoDiagram.cone_generators``), so it
-needs no region algebra of its own and, for built diagrams, no scan.
+diagram file.  For a built diagram the scan paints each maximal cone's
+generator orthants and makes no cell; a diagram read from a file is
+scanned from its gap cells.  The diagram of a sum keeps the two diagrams'
+minimal localized generators together (``KlyachkoDiagram.cone_generators``),
+so it needs no region algebra of its own and, for built diagrams, neither
+a scan nor a cell until its cells are read.
 Graded pieces and H^1 pieces list monomials, so they are expanded from the
 member intervals of ``hilbert.walk_fibers``, one class at a time; Hilbert
 values only count, and ``hilbert`` reads them off the K-polynomial of the
@@ -110,8 +113,9 @@ def sum_diagram(fan, diag_a, diag_b):
     among both diagrams' ``cone_generators``, one ``minimalize`` per
     maximal cone.  Its floor on a ray is the least exponent there; every
     ray lies in a maximal cone, and each one through it gives the same
-    least exponent.  No saturation is scanned for diagrams that
-    ``compute_diagram`` built.
+    least exponent.  No saturation is scanned and no cell is made for
+    diagrams that ``compute_diagram`` or ``sum_diagram`` built; the sum's
+    cells are swept when they are first read.
     """
     if diag_a.fan != fan or diag_b.fan != fan:
         raise InputError("diagrams live on different fans")

@@ -265,12 +265,15 @@ class LatticeRegion:
         return self.contains_values(values)
 
     def shift(self, fan, vector):
-        """Translate by a lattice vector: bounds move by <vector, rho>, order kept.
+        """Translate by a lattice vector: bounds move by <vector, rho>."""
+        return self.translate({ray: fan.pairing(vector, ray) for ray in self.cone})
+
+    def translate(self, move):
+        """Move every bound on each ray of the cone by move[ray], order kept.
 
         Every bound on a ray moves by the same amount, so the cells keep
         their ``Cell.sort_key`` order and are stored without a sort.
         """
-        move = {ray: fan.pairing(vector, ray) for ray in self.cone}
         region = object.__new__(LatticeRegion)
         region.cone = self.cone
         region.cells = tuple(

@@ -9,6 +9,7 @@ from klyachko.checks import (PROPERTY_NAMES, check_hilbert, check_ideal,
                              check_membership_identity, check_roundtrip,
                              check_saturation_invariance, random_ideal, run_suite)
 from klyachko.regions import Cell, LatticeRegion
+import klyachko.diagram as diagram
 
 GOOD = [(0, 0, 2), (1, 0, 1), (1, 1, 0)]
 
@@ -83,6 +84,24 @@ def test_roundtrip_check_catches_tampering(p2, p2_grading):
                               LatticeRegion((0, 2), [Cell({0: (0, 0), 2: (0, 0)})]))
     message = check_roundtrip(p2, p2_grading, ideal, broken)
     assert message is not None and "oracle" in message
+    assert message.startswith("reconstruction from the diagram gives")
+
+
+def test_roundtrip_check_names_the_cell_route(p2, p2_grading, monkeypatch):
+    # a built diagram scans its generators, a diagram file its cells; break
+    # the cells only, and the check still fails, naming the cell route
+    ideal = MonomialIdeal(GOOD)
+    assert check_roundtrip(p2, p2_grading, ideal) is None
+    sweep = diagram._sweep
+
+    def shrunk(*args):
+        regions = sweep(*args)
+        regions[(0, 2)] = LatticeRegion((0, 2), [Cell({0: (0, 0), 2: (0, 0)})])
+        return regions
+
+    monkeypatch.setattr(diagram, "_sweep", shrunk)
+    message = check_roundtrip(p2, p2_grading, ideal)
+    assert message is not None and message.startswith("reconstruction from its cells")
 
 
 def test_hilbert_check_catches_tampering(p2, p2_grading):

@@ -360,6 +360,44 @@ def test_sum_sweeps_the_cone_generators(name, monkeypatch):
         assert diagram_text(sum_diagram(fan, *again)) == diagram_text(total)
 
 
+@pytest.mark.parametrize("name", CATALOG)
+def test_cells_are_swept_only_when_read(name, monkeypatch):
+    # reconstruction and sums work from the cone generators and make no Cell;
+    # the first read of the cells sweeps every maximal cone once, a second
+    # read sweeps nothing
+    counts = {"cells": 0, "sweeps": 0}
+    make, sweep = Cell._of, diagram._sweep
+
+    def counted_cell(bounds):
+        counts["cells"] += 1
+        return make(bounds)
+
+    def counted_sweep(*args):
+        counts["sweeps"] += 1
+        return sweep(*args)
+
+    fan = named_fan(name)
+    grading = compute_grading(fan)
+    rng = random.Random(f"lazy-{name}")
+    ideals = [random_ideal(rng, fan.nrays, max_gens=8, max_exp=5) for _ in range(10)]
+    monkeypatch.setattr(Cell, "_of", staticmethod(counted_cell))
+    monkeypatch.setattr(diagram, "_sweep", counted_sweep)
+    for first, second in zip(ideals, ideals[1:]):
+        counts.update(cells=0, sweeps=0)
+        diags = [compute_diagram(fan, first), compute_diagram(fan, second)]
+        total = sum_diagram(fan, *diags)
+        for diag in diags + [total]:
+            reconstruct_generators(grading, diag)
+        assert counts == {"cells": 0, "sweeps": 0}
+        text = diagram_text(total)
+        assert counts["sweeps"] == 1
+        counts.update(cells=0, sweeps=0)
+        assert diagram_text(total) == text
+        for cone in fan.max_cones:
+            total.gaps(cone)
+        assert counts == {"cells": 0, "sweeps": 0}
+
+
 @settings(max_examples=25, report_multiple_bugs=False)
 @given(data=st.data())
 def test_builder_on_blown_up_fans(data):

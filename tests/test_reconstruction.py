@@ -9,7 +9,9 @@ from klyachko import (Cell, InputError, KlyachkoDiagram, LatticeRegion,
                       compute_grading, graded_basis, hilbert_oracle, hirzebruch,
                       local_cohomology_h1, minimal_generator_exponents,
                       monomials_of_degree, product_of_projective_spaces,
-                      projective_space, reconstruct_generators, saturate_oracle)
+                      named_fan, projective_space, reconstruct_generators,
+                      saturate_oracle)
+from klyachko.checks import random_ideal
 from klyachko.diagram import exponent_caps
 
 # already-saturated running example on the plane: (x0*x2, x1*x2, x0*x1^2)
@@ -262,6 +264,21 @@ def test_generator_scan_matches_full_box_on_random_ideals(fan, ngens, max_exp):
         caps, found = minimal_generator_exponents(fan, diag)
         assert caps == exponent_caps(fan, diag)
         assert found == full_box_scan(fan, diag)
+
+
+@pytest.mark.parametrize("name", ["P1", "P2", "H3", "P1xP1", "P3", "P1xP2", "P2xP2", "P4"])
+def test_generator_and_cell_painters_agree(name):
+    # a built diagram is scanned from its cone generators' orthants, the same
+    # diagram given by its cells from its gap cells: same caps, same generators
+    fan = named_fan(name)
+    rng = random.Random(f"painters-{name}")
+    for _ in range(20):
+        diag = compute_diagram(fan, random_ideal(rng, fan.nrays, max_gens=8, max_exp=5))
+        given = KlyachkoDiagram(fan, diag.min_exponents,
+                                {cone: diag.gaps(cone) for cone in fan.max_cones})
+        assert minimal_generator_exponents(fan, diag) == \
+            minimal_generator_exponents(fan, given)
+        assert exponent_caps(fan, diag) == exponent_caps(fan, given)
 
 
 def test_generator_scan_tests_no_point(monkeypatch):
